@@ -28,9 +28,13 @@
 //! executions) cannot overflow the call stack. State keys are built from
 //! interned `u32` ids ([`ValueInterner`]): probing the visited set
 //! allocates nothing for already-seen values, where the seed engine
-//! cloned the entire memory and every program key per probe. Violation
-//! schedules are reconstructed from per-node **parent links** instead of
-//! a live schedule vector.
+//! cloned the entire memory and every program key per probe. A child is
+//! **keyed before it is built**: its step runs on a clone of one program
+//! against the parent's memory, its key is patched from the parent's,
+//! and only a key the visited set calls new materializes the child
+//! state — most children are duplicates. Violation schedules are
+//! reconstructed from per-node **parent links** instead of a live
+//! schedule vector.
 //!
 //! With [`ExploreConfig::threads`] ` > 1` (or via [`explore_parallel`])
 //! the search switches to a **parallel frontier** mode: breadth-first
@@ -346,9 +350,10 @@ pub type SymmetricSystemFactory<'a> =
 
 /// A copy-on-write shared memory for the search: cell payloads live
 /// behind `Arc`s, so branching a state bumps refcounts instead of
-/// deep-cloning every register and object state — only the cell a child
-/// actually writes is cloned (`Arc::make_mut`), and only while shared.
-/// Semantically identical to [`Memory`] (same atomicity, same
+/// deep-cloning every register and object state — the cell a child
+/// writes gets a fresh payload holding the value its step captured
+/// ([`StepOverlay`]). Steps never run against this memory directly; the
+/// overlay gives them [`Memory`]'s semantics (same atomicity, same
 /// type-confusion panics).
 #[derive(Clone)]
 enum CowCell {
@@ -362,11 +367,6 @@ enum CowCell {
 #[derive(Clone)]
 struct CowMemory {
     cells: Vec<CowCell>,
-    /// The cell written by the last step, for incremental key updates.
-    /// `Program::step` performs at most one shared-memory access, so one
-    /// slot suffices; a second write in one step panics (it would make
-    /// the incremental keys unsound and the contract is explicit).
-    dirty: Option<usize>,
 }
 
 impl CowMemory {
@@ -380,7 +380,7 @@ impl CowMemory {
                 },
             })
             .collect();
-        CowMemory { cells, dirty: None }
+        CowMemory { cells }
     }
 
     fn value_ref(&self, index: usize) -> &Value {
@@ -390,61 +390,88 @@ impl CowMemory {
         }
     }
 
-    fn mark_dirty(&mut self, index: usize) {
-        assert!(
-            self.dirty.is_none() || self.dirty == Some(index),
-            "Program::step performed more than one shared-memory write; \
-             the step contract allows at most one access"
-        );
-        self.dirty = Some(index);
-    }
-
-    fn take_dirty(&mut self) -> Option<usize> {
-        self.dirty.take()
+    /// Replaces cell `index`'s value (register contents or object
+    /// state) with a fresh payload; the cell's kind and type stay.
+    fn write(&mut self, index: usize, value: Value) {
+        match &mut self.cells[index] {
+            CowCell::Register(v) => *v = Arc::new(value),
+            CowCell::Object { state, .. } => *state = Arc::new(value),
+        }
     }
 }
 
-impl MemOps for CowMemory {
+/// The [`MemOps`] a step runs against while its child is being keyed:
+/// reads go to the parent's memory, and the step's write is captured
+/// here instead of applied, so nothing is cloned until the child turns
+/// out to be a new state. `Program::step` performs at most one
+/// shared-memory access; a write to a second cell in one step panics
+/// (the child key patches exactly one cell, and the contract is
+/// explicit). Type-confused accesses panic exactly as on [`Memory`].
+struct StepOverlay<'a> {
+    parent: &'a CowMemory,
+    /// The cell written by the step and its new value.
+    write: Option<(usize, Value)>,
+}
+
+impl StepOverlay<'_> {
+    /// Cell `index`'s value as the step sees it: its own write, if any,
+    /// else the parent's.
+    fn value(&self, index: usize) -> &Value {
+        match &self.write {
+            Some((cell, value)) if *cell == index => value,
+            _ => self.parent.value_ref(index),
+        }
+    }
+
+    fn capture(&mut self, index: usize, value: Value) {
+        assert!(
+            self.write.as_ref().map_or(true, |(cell, _)| *cell == index),
+            "Program::step performed more than one shared-memory write; \
+             the step contract allows at most one access"
+        );
+        self.write = Some((index, value));
+    }
+}
+
+impl MemOps for StepOverlay<'_> {
     fn read_register(&mut self, addr: crate::memory::Addr) -> Value {
-        match &self.cells[addr.0] {
-            CowCell::Register(v) => (**v).clone(),
+        match &self.parent.cells[addr.0] {
+            CowCell::Register(_) => self.value(addr.0).clone(),
             CowCell::Object { .. } => panic!("{addr} is an object, not a register"),
         }
     }
 
     fn write_register(&mut self, addr: crate::memory::Addr, value: Value) {
-        match &mut self.cells[addr.0] {
-            CowCell::Register(v) => *Arc::make_mut(v) = value,
+        match &self.parent.cells[addr.0] {
+            CowCell::Register(_) => self.capture(addr.0, value),
             CowCell::Object { .. } => panic!("{addr} is an object, not a register"),
         }
-        self.mark_dirty(addr.0);
     }
 
     fn read_object(&mut self, addr: crate::memory::Addr) -> Value {
-        match &self.cells[addr.0] {
-            CowCell::Object { ty, state } => {
+        match &self.parent.cells[addr.0] {
+            CowCell::Object { ty, .. } => {
                 assert!(
                     ty.is_readable(),
                     "type {} is not readable; Read is not available",
                     ty.name()
                 );
-                (**state).clone()
+                self.value(addr.0).clone()
             }
             CowCell::Register(_) => panic!("{addr} is a register, not an object"),
         }
     }
 
     fn apply(&mut self, addr: crate::memory::Addr, op: &Operation) -> Value {
-        let response = match &mut self.cells[addr.0] {
-            CowCell::Object { ty, state } => {
-                let t = ty.apply(state, op);
-                *Arc::make_mut(state) = t.next;
+        let parent = self.parent;
+        match &parent.cells[addr.0] {
+            CowCell::Object { ty, .. } => {
+                let t = ty.apply(self.value(addr.0), op);
+                self.capture(addr.0, t.next);
                 t.response
             }
             CowCell::Register(_) => panic!("{addr} is a register, not an object"),
-        };
-        self.mark_dirty(addr.0);
-        response
+        }
     }
 }
 
@@ -534,7 +561,7 @@ impl SysState {
     }
 }
 
-/// Where [`apply_to_child`] gets post-crash program objects from.
+/// Where [`materialize`] gets post-crash program objects from.
 trait CrashSource {
     fn crashed(&mut self, parent: &SysState, p: usize) -> Arc<Box<dyn Program>>;
 }
@@ -552,12 +579,13 @@ impl CrashSource for NoCrashes {
 /// `[cells | program keys | packed decided bits | crashes | decided value
 /// | sleep words (POR only)]`.
 ///
-/// Keys are built **incrementally**: a child's key is a copy of its
-/// parent's with only the slots the action touched re-interned — the one
-/// dirty memory cell (a step performs at most one access), the stepped
-/// or crashed program's key, the decided bit, the crash count and the
-/// decided value. Unchanged slots keep their parent's ids, which is
-/// sound because interned ids are stable and injective.
+/// Keys are built **incrementally** ([`patch_child_key`]): a child's key
+/// is a copy of its parent's with only the slots the action touched
+/// re-interned — the one written memory cell (a step performs at most
+/// one access), the stepped or crashed program's key, the decided bit,
+/// the crash count and the decided value. Unchanged slots keep their
+/// parent's ids, which is sound because interned ids are stable and
+/// injective. [`KeyLayout::key_of`] builds the same key from scratch.
 ///
 /// With [`ExploreConfig::por`] the key gains trailing **sleep words**
 /// holding the node's packed sleep mask raw (never interner ids): node
@@ -626,79 +654,99 @@ impl KeyLayout {
             key[self.sleep_word(w)] = (sleep >> (32 * w)) as u32;
         }
     }
-}
 
-/// Where a pending key slot's value comes from; resolved against the
-/// child state with the interner in hand (under the lock, in parallel
-/// mode), so no `Value` is ever cloned for key building.
-#[derive(Clone, Copy)]
-enum Slot {
-    Cell(usize),
-    Prog(usize),
-    DecidedValue,
-}
-
-/// A child's key: the patched copy of the parent's key plus the slots
-/// still needing the interner.
-struct ChildKey {
-    key: Vec<u32>,
-    pending: Vec<(usize, Slot)>,
-}
-
-impl ChildKey {
-    /// The root's key: an all-pending template (decided bits and crash
-    /// count are zero, which the template already holds).
-    fn root(layout: &KeyLayout) -> Self {
-        let mut pending = Vec::with_capacity(layout.cells + layout.n + 1);
-        pending.extend((0..layout.cells).map(|i| (i, Slot::Cell(i))));
-        pending.extend((0..layout.n).map(|p| (layout.prog(p), Slot::Prog(p))));
-        pending.push((layout.decided_value(), Slot::DecidedValue));
-        ChildKey {
-            key: vec![0; layout.len()],
-            pending,
+    /// `state`'s key built from scratch, every value slot interned (cells
+    /// in address order, then program keys, then the decided value) and
+    /// the sleep words zero. The root's key is built this way; every
+    /// other key is patched from its parent's ([`patch_child_key`]), and
+    /// debug builds check each materialized child's patched key against
+    /// this one.
+    fn key_of(&self, state: &SysState, interner: &mut ValueInterner) -> Vec<u32> {
+        let mut key = vec![0; self.len()];
+        for (cell, slot) in key[..self.cells].iter_mut().enumerate() {
+            *slot = interner.intern(state.mem.value_ref(cell));
         }
-    }
-
-    /// Fills the pending slots from `state`, leaving `key` final.
-    fn resolve(&mut self, state: &SysState, interner: &mut ValueInterner) -> &[u32] {
-        for &(pos, slot) in &self.pending {
-            self.key[pos] = match slot {
-                Slot::Cell(i) => interner.intern(state.mem.value_ref(i)),
-                Slot::Prog(p) => interner.intern(&state.programs[p].state_key()),
-                Slot::DecidedValue => match &state.decided_value {
-                    Some(v) => interner.intern(v),
-                    None => ValueInterner::NONE,
-                },
-            };
+        for (p, prog) in state.programs.iter().enumerate() {
+            key[self.prog(p)] = interner.intern(&prog.state_key());
         }
-        self.pending.clear();
-        &self.key
+        for w in 0..self.decided_words() {
+            key[self.cells + self.n + w] = (state.decided >> (32 * w)) as u32;
+        }
+        key[self.crashes()] = u32::try_from(state.crashes_used).expect("crash budget fits u32");
+        key[self.decided_value()] = match &state.decided_value {
+            Some(v) => interner.intern(v),
+            None => ValueInterner::NONE,
+        };
+        key
     }
 }
 
-/// Clones `parent` and applies `action`. Returns the child, the cell it
-/// wrote (if any) and the value it decided (if any) — `decided_value` is
-/// deliberately left at the parent's value so the caller can check the
-/// decision against it. Crash branches take the shared post-crash
-/// program from `crashed` instead of cloning.
-fn apply_to_child(
+/// What one action changes relative to its parent, computed without
+/// building the child: [`patch_child_key`] keys the child from it, and
+/// [`materialize`] builds the child state from it only when needed.
+#[derive(Default)]
+struct StepDelta {
+    /// The stepped program, a fresh clone of the parent's (`None` for
+    /// crash actions).
+    prog: Option<Box<dyn Program>>,
+    /// The cell the step wrote and its new value.
+    write: Option<(usize, Value)>,
+    /// The value the step decided.
+    decided: Option<Value>,
+}
+
+/// Runs `action`'s step against `parent` without building the child:
+/// a clone of the stepped program steps on a [`StepOverlay`] of the
+/// parent's memory. Crash actions change only program objects, decided
+/// bits and the crash count, which need no step, so their delta is
+/// empty.
+fn step_delta(parent: &SysState, action: Action) -> StepDelta {
+    let (p, choice) = match action {
+        Action::Step(p) => (p, None),
+        Action::Branch(p, choice) => (p, Some(choice)),
+        Action::Crash(_) | Action::CrashAll => return StepDelta::default(),
+    };
+    let mut prog = parent.programs[p].boxed_clone();
+    let mut overlay = StepOverlay {
+        parent: &parent.mem,
+        write: None,
+    };
+    let step = match choice {
+        Some(choice) => prog.step_choice(&mut overlay, choice),
+        None => prog.step(&mut overlay),
+    };
+    StepDelta {
+        prog: Some(prog),
+        write: overlay.write,
+        decided: match step {
+            Step::Decided(v) => Some(v),
+            _ => None,
+        },
+    }
+}
+
+/// Builds the child state `action` leads to from `parent` and the
+/// action's [`step_delta`]: a copy-on-write clone of the parent plus the
+/// stepped program, the written cell and the decision. Crash branches
+/// take the shared post-crash program from `crashed` instead of
+/// cloning. An earlier decided value is kept: a conflicting decision is
+/// a violation the checked engines report before building the child.
+fn materialize(
     parent: &SysState,
     action: Action,
+    delta: StepDelta,
     crashed: &mut dyn CrashSource,
-) -> (SysState, Option<usize>, Option<Value>) {
+) -> SysState {
     let mut child = parent.clone();
-    let mut newly_decided = None;
     match action {
         Action::Step(p) | Action::Branch(p, _) => {
-            let step = match action {
-                Action::Branch(_, choice) => {
-                    program_mut(&mut child.programs[p]).step_choice(&mut child.mem, choice)
-                }
-                _ => program_mut(&mut child.programs[p]).step(&mut child.mem),
-            };
-            if let Step::Decided(v) = step {
+            child.programs[p] = Arc::new(delta.prog.expect("a step delta holds its program"));
+            if let Some((cell, value)) = delta.write {
+                child.mem.write(cell, value);
+            }
+            if let Some(v) = delta.decided {
                 child.decided |= 1 << p;
-                newly_decided = Some(v);
+                child.decided_value.get_or_insert(v);
             }
         }
         Action::Crash(p) => {
@@ -714,53 +762,83 @@ fn apply_to_child(
             child.crashes_used += 1;
         }
     }
-    let dirty = child.mem.take_dirty();
-    (child, dirty, newly_decided)
+    child
 }
 
-/// Patches the action-independent raw slots (decided bits, crash count)
-/// of a child key already initialized to the parent's key.
-fn patch_raw_slots(key: &mut [u32], child: &SysState, action: Action, layout: &KeyLayout) {
+/// Writes the key of the child `action` leads to into `key`: the
+/// parent's key with the slots the action touched patched (see
+/// [`KeyLayout`]) and the child's sleep words. Value slots go through
+/// `resolve(key, slot, value)` — the interner in the serial engines,
+/// the frozen-interner-plus-placeholder path in the frontier workers —
+/// in a fixed order (written cell, program key, decided value), so
+/// value ids are handed out identically whichever engine builds the
+/// key. A decision conflicting with the parent's decided value, or
+/// outside the declared inputs, is returned as a violation before
+/// anything is resolved.
+#[allow(clippy::too_many_arguments)]
+fn patch_child_key(
+    parent: &SysState,
+    parent_key: &[u32],
+    action: Action,
+    delta: &StepDelta,
+    child_sleep: u64,
+    layout: &KeyLayout,
+    crashes: &CrashedSet,
+    inputs: Option<&[Value]>,
+    key: &mut Vec<u32>,
+    mut resolve: impl FnMut(&mut [u32], usize, &Value),
+) -> Result<(), (ViolationKind, Vec<Value>)> {
+    if let Some(v) = &delta.decided {
+        if let Some(kind) = check_output(inputs, parent.decided_value.as_ref(), v) {
+            return Err((
+                kind,
+                violation_outputs(parent.decided_value.as_ref(), v.clone()),
+            ));
+        }
+    }
+    key.clear();
+    key.extend_from_slice(parent_key);
     match action {
         Action::Step(p) | Action::Branch(p, _) => {
-            if child.is_decided(p) {
+            if delta.decided.is_some() {
                 key[layout.decided_word(p)] |= 1 << (p % 32);
             }
         }
         Action::Crash(p) => {
             key[layout.decided_word(p)] &= !(1 << (p % 32));
             key[layout.crashes()] =
-                u32::try_from(child.crashes_used).expect("crash budget fits u32");
+                u32::try_from(parent.crashes_used + 1).expect("crash budget fits u32");
         }
         Action::CrashAll => {
             for w in 0..layout.decided_words() {
                 key[layout.cells + layout.n + w] = 0;
             }
             key[layout.crashes()] =
-                u32::try_from(child.crashes_used).expect("crash budget fits u32");
+                u32::try_from(parent.crashes_used + 1).expect("crash budget fits u32");
         }
     }
-}
-
-/// Checks a fresh decision against the parent's decided value and the
-/// validity inputs; on success records it on the child.
-fn settle_decision(
-    child: &mut SysState,
-    newly_decided: Option<Value>,
-    inputs: Option<&[Value]>,
-) -> Result<bool, (ViolationKind, Vec<Value>)> {
-    match newly_decided {
-        None => Ok(false),
-        Some(v) => {
-            // `child.decided_value` still holds the parent's decided
-            // value here; the new output is checked against it first.
-            if let Some(kind) = check_output(inputs, child.decided_value.as_ref(), &v) {
-                return Err((kind, violation_outputs(child.decided_value.as_ref(), v)));
+    layout.write_sleep(key, child_sleep);
+    if let Some((cell, value)) = &delta.write {
+        resolve(key, *cell, value);
+    }
+    match action {
+        Action::Step(p) | Action::Branch(p, _) => {
+            let prog = delta.prog.as_ref().expect("a step delta holds its program");
+            resolve(key, layout.prog(p), &prog.state_key());
+        }
+        Action::Crash(p) => key[layout.prog(p)] = crashes.ids[p],
+        Action::CrashAll => {
+            for p in 0..layout.n {
+                key[layout.prog(p)] = crashes.ids[p];
             }
-            child.decided_value = Some(v);
-            Ok(true)
         }
     }
+    if let Some(v) = &delta.decided {
+        // Equal to the parent's decided value when it had one (checked
+        // above), so this re-resolves the same value.
+        resolve(key, layout.decided_value(), v);
+    }
+    Ok(())
 }
 
 /// The post-crash program objects, one per process, precomputed **once**
@@ -881,9 +959,19 @@ fn resolve_slot(
     }
 }
 
-/// A built child plus its canonicalization permutation (`None` =
+/// A child whose key is final, as the child builders return it.
+enum KeyedChild {
+    /// Symmetry off: still a delta against its parent, so a duplicate
+    /// is dropped without ever building its state.
+    Delta(StepDelta),
+    /// Symmetry on: built already, because canonicalization sorts on
+    /// the state.
+    Built(SysState),
+}
+
+/// A keyed child plus its canonicalization permutation (`None` =
 /// identity), as returned by [`make_child_serial`].
-type SerialChild = (SysState, Option<Box<[u8]>>);
+type SerialChild = (KeyedChild, Option<Box<[u8]>>);
 
 /// A surviving child of [`make_child_frontier`]: state, owned key, its
 /// unresolved slots, its destination shard (when routable) and its
@@ -896,12 +984,12 @@ type FrontierChild = (
     Option<Box<[u8]>>,
 );
 
-/// The parallel engine's child builder: clones + steps the parent, then
-/// patches and resolves the child key **in the reusable `key_scratch`
-/// buffer** against the *frozen* global interner. Duplicates are dropped
-/// right here, in the worker, paying no allocation beyond the
-/// copy-on-write state clone (exactly like the serial engine's probe
-/// path):
+/// The parallel engine's child builder: steps a clone of the parent's
+/// program against the parent's memory ([`step_delta`]), then patches
+/// and resolves the child key **in the reusable `key_scratch` buffer**
+/// against the *frozen* global interner. Duplicates are dropped right
+/// here, in the worker, before their state is ever built (unless
+/// symmetry needs the state to canonicalize):
 ///
 /// * a child already produced by this chunk (`seen_in_chunk`, keyed on
 ///   the scratch key — placeholder-encoded local ids keep it injective)
@@ -926,68 +1014,30 @@ fn make_child_frontier(
     inputs: Option<&[Value]>,
     spec: Option<&SymmetrySpec>,
 ) -> Result<Option<FrontierChild>, (ViolationKind, Vec<Value>)> {
-    let (mut child, dirty, newly_decided) = match action {
-        Action::Step(_) | Action::Branch(..) => apply_to_child(parent, action, &mut NoCrashes),
-        _ => apply_to_child(parent, action, &mut FixedCrashes(crashes)),
-    };
-    let decided = settle_decision(&mut child, newly_decided, inputs)?;
-    key_scratch.clear();
-    key_scratch.extend_from_slice(parent_key);
-    let key = key_scratch;
-    patch_raw_slots(key, &child, action, layout);
-    layout.write_sleep(key, child_sleep);
+    let delta = step_delta(parent, action);
     let mut unresolved: Vec<(usize, u32)> = Vec::new();
-    if let Some(cell) = dirty {
-        resolve_slot(
-            cell,
-            child.mem.value_ref(cell),
-            key,
-            &mut unresolved,
-            global,
-            scratch,
-        );
-    }
-    match action {
-        Action::Step(p) | Action::Branch(p, _) => {
-            let prog_key = child.programs[p].state_key();
-            resolve_slot(
-                layout.prog(p),
-                &prog_key,
-                key,
-                &mut unresolved,
-                global,
-                scratch,
-            );
-        }
-        Action::Crash(p) => key[layout.prog(p)] = crashes.ids[p],
-        Action::CrashAll => {
-            for p in 0..layout.n {
-                key[layout.prog(p)] = crashes.ids[p];
-            }
-        }
-    }
-    if decided {
-        let value = child
-            .decided_value
-            .clone()
-            .expect("settle_decision recorded the decision");
-        resolve_slot(
-            layout.decided_value(),
-            &value,
-            key,
-            &mut unresolved,
-            global,
-            scratch,
-        );
-    }
+    patch_child_key(
+        parent,
+        parent_key,
+        action,
+        &delta,
+        child_sleep,
+        layout,
+        crashes,
+        inputs,
+        key_scratch,
+        |key, pos, value| resolve_slot(pos, value, key, &mut unresolved, global, scratch),
+    )?;
+    let key = key_scratch;
     // Canonicalize before any dedup: the signature ordering is
     // structural, so the representative (and therefore the chunk-local
     // and cross-level dedup behaviour) is worker-count independent even
     // while key slots still hold local placeholder ids — whose
     // *positions* the canonicalization may move, tracked via `moved`.
-    let perm = match spec {
-        None => None,
+    let (child, perm) = match spec {
+        None => (KeyedChild::Delta(delta), None),
         Some(spec) => {
+            let mut child = materialize(parent, action, delta, &mut FixedCrashes(crashes));
             let mut spec_moved: Vec<(usize, usize)> = Vec::new();
             let perm = canonicalize_child(&mut child, key, layout, spec, Some(&mut spec_moved));
             if perm.is_some() && !unresolved.is_empty() {
@@ -998,12 +1048,11 @@ fn make_child_frontier(
                     }
                 }
             }
-            perm
+            (KeyedChild::Built(child), perm)
         }
     };
     let shard = if unresolved.is_empty() {
-        // Prior-level duplicates drop before touching the chunk table —
-        // no key is boxed for them, matching the serial probe path.
+        // Prior-level duplicates drop before touching the chunk table.
         let shard = shard_for(visited, key);
         if visited.contains(shard, key) {
             return Ok(None);
@@ -1016,16 +1065,22 @@ fn make_child_frontier(
     if !first_in_chunk {
         return Ok(None);
     }
+    let child = match child {
+        KeyedChild::Delta(delta) => materialize(parent, action, delta, &mut FixedCrashes(crashes)),
+        KeyedChild::Built(child) => child,
+    };
     Ok(Some((child, key.clone(), unresolved, shard, perm)))
 }
 
-/// The serial engine's child builder: the interner is at hand, so the
-/// final key is written straight into the reusable `scratch` buffer —
-/// children that turn out to be already-visited states allocate nothing
-/// beyond the copy-on-write state clone. With a [`SymmetrySpec`] the
-/// child is mapped to its canonical representative before the caller
-/// probes the visited set; the returned permutation goes on the child's
-/// parent link.
+/// The serial child builder (the DFS engine and the frontier's fused
+/// level path): the interner is at hand, so the final key is written
+/// straight into the reusable `scratch` buffer. Without a
+/// [`SymmetrySpec`] the child comes back as a [`KeyedChild::Delta`],
+/// which the caller builds ([`KeyedChild::into_state`]) only once the
+/// visited set calls the key new — a duplicate costs the program clone
+/// and step, never a state. With a spec the child is built and mapped to
+/// its canonical representative before the caller probes the visited
+/// set; the returned permutation goes on the child's parent link.
 #[allow(clippy::too_many_arguments)]
 fn make_child_serial(
     parent: &SysState,
@@ -1039,42 +1094,76 @@ fn make_child_serial(
     scratch: &mut Vec<u32>,
     spec: Option<&SymmetrySpec>,
 ) -> Result<SerialChild, (ViolationKind, Vec<Value>)> {
-    let (mut child, dirty, newly_decided) = match action {
-        Action::Step(_) | Action::Branch(..) => apply_to_child(parent, action, &mut NoCrashes),
-        _ => apply_to_child(parent, action, &mut FixedCrashes(crashes)),
+    let delta = step_delta(parent, action);
+    patch_child_key(
+        parent,
+        parent_key,
+        action,
+        &delta,
+        child_sleep,
+        layout,
+        crashes,
+        inputs,
+        scratch,
+        |key, pos, value| key[pos] = interner.intern(value),
+    )?;
+    let Some(spec) = spec else {
+        return Ok((KeyedChild::Delta(delta), None));
     };
-    let decided = settle_decision(&mut child, newly_decided, inputs)?;
-    scratch.clear();
-    scratch.extend_from_slice(parent_key);
-    patch_raw_slots(scratch, &child, action, layout);
-    layout.write_sleep(scratch, child_sleep);
-    if let Some(cell) = dirty {
-        scratch[cell] = interner.intern(child.mem.value_ref(cell));
-    }
-    match action {
-        Action::Step(p) | Action::Branch(p, _) => {
-            scratch[layout.prog(p)] = interner.intern(&child.programs[p].state_key());
-        }
-        Action::Crash(p) => {
-            scratch[layout.prog(p)] = crashes.ids[p];
-        }
-        Action::CrashAll => {
-            for p in 0..layout.n {
-                scratch[layout.prog(p)] = crashes.ids[p];
+    let mut child = materialize(parent, action, delta, &mut FixedCrashes(crashes));
+    debug_assert_patched_key(&child, scratch, child_sleep, layout, interner);
+    let perm = canonicalize_child(&mut child, scratch, layout, spec, None);
+    Ok((KeyedChild::Built(child), perm))
+}
+
+impl KeyedChild {
+    /// The child's state: a [`KeyedChild::Built`] child as is, a delta
+    /// materialized against its parent now. `key` is the child's key
+    /// from [`make_child_serial`].
+    #[allow(clippy::too_many_arguments)]
+    fn into_state(
+        self,
+        parent: &SysState,
+        action: Action,
+        child_sleep: u64,
+        key: &[u32],
+        layout: &KeyLayout,
+        crashes: &CrashedSet,
+        interner: &mut ValueInterner,
+    ) -> SysState {
+        match self {
+            KeyedChild::Built(child) => child,
+            KeyedChild::Delta(delta) => {
+                let child = materialize(parent, action, delta, &mut FixedCrashes(crashes));
+                debug_assert_patched_key(&child, key, child_sleep, layout, interner);
+                child
             }
         }
     }
-    if decided {
-        scratch[layout.decided_value()] = match &child.decided_value {
-            Some(v) => interner.intern(v),
-            None => ValueInterner::NONE,
-        };
+}
+
+/// Debug builds only: asserts that a materialized child's patched key
+/// equals its key built from scratch ([`KeyLayout::key_of`] plus the
+/// child's sleep words), checked before any canonicalization. This is
+/// the invariant the serial engines' key-first path rests on: the
+/// visited set decides on the patched key alone. Interning here never
+/// hands out a new id, because every value of the child already sits in
+/// its patched key.
+fn debug_assert_patched_key(
+    child: &SysState,
+    key: &[u32],
+    child_sleep: u64,
+    layout: &KeyLayout,
+    interner: &mut ValueInterner,
+) {
+    if cfg!(debug_assertions) {
+        let mut scratch = layout.key_of(child, interner);
+        layout.write_sleep(&mut scratch, child_sleep);
+        assert_eq!(
+            scratch, key,
+            "a patched child key differs from the child's key built from scratch"
+        );
     }
-    let perm = match spec {
-        None => None,
-        Some(spec) => canonicalize_child(&mut child, scratch, layout, spec, None),
-    };
-    Ok((child, perm))
 }
 
 fn check_output(
@@ -1881,6 +1970,22 @@ fn expand_actions(
     (out, false)
 }
 
+/// Takes step action `a` then step action `b` from `state`, returning the
+/// end state and each step's decision — the commutation probe shared by
+/// [`cross_validate_node`] and the lint's [`commute_divergence`].
+fn step_pair(state: &SysState, a: Action, b: Action) -> (SysState, Option<Value>, Option<Value>) {
+    let first = step_delta(state, a);
+    let a_decided = first.decided.clone();
+    let mid = materialize(state, a, first, &mut NoCrashes);
+    let second = step_delta(&mid, b);
+    let b_decided = second.decided.clone();
+    (
+        materialize(&mid, b, second, &mut NoCrashes),
+        a_decided,
+        b_decided,
+    )
+}
+
 /// Asserts that every pair of enabled steps the static relation calls
 /// independent really commutes *from this state*: both orders must
 /// produce identical memory, identical state keys for both processes,
@@ -1915,13 +2020,8 @@ fn cross_validate_node(state: &SysState, indep: &StaticIndependence) {
             }
             for &pa in p_acts {
                 for &qa in q_acts {
-                    let both = |a: Action, b: Action| {
-                        let (mid, _, da) = apply_to_child(state, a, &mut NoCrashes);
-                        let (end, _, db) = apply_to_child(&mid, b, &mut NoCrashes);
-                        (end, da, db)
-                    };
-                    let (pq, p_first, q_second) = both(pa, qa);
-                    let (qp, q_first, p_second) = both(qa, pa);
+                    let (pq, p_first, q_second) = step_pair(state, pa, qa);
+                    let (qp, q_first, p_second) = step_pair(state, qa, pa);
                     let explain = "statically-independent enabled steps must \
                                    commute; the footprint analysis is unsound for \
                                    this system";
@@ -2169,18 +2269,19 @@ struct SerialEngine<'a> {
 }
 
 impl SerialEngine<'_> {
-    /// Enters the state whose resolved key is `key`: memoizes it and,
-    /// when new and non-terminal, returns the frame to push. Sets
+    /// Memoizes the state whose resolved key is `key` and, when it is
+    /// new, logs its witness edge and returns its node index. Sets
     /// `truncated` when the state is new but the cap is already full.
-    /// `parent_key` is the parent's resolved key (empty at the root),
-    /// against which the witness log delta-encodes this node's key.
-    fn enter(
+    /// Runs on the key alone, so the caller builds a child state only
+    /// for a key this admits. `parent_key` is the parent's resolved key
+    /// (empty at the root), against which the witness log delta-encodes
+    /// this node's key.
+    fn admit(
         &mut self,
-        state: SysState,
         key: &[u32],
         parent: Option<ParentLink>,
         parent_key: &[u32],
-    ) -> Option<Frame> {
+    ) -> Option<u32> {
         if self.visited.len() >= self.config.max_states {
             // At the cap, only a *new* state means truncation.
             if self.visited.get(key).is_none() {
@@ -2202,6 +2303,12 @@ impl SerialEngine<'_> {
                 key,
             ),
         }
+        Some(idx)
+    }
+
+    /// Classifies the admitted node `idx`: counts a leaf, or returns the
+    /// frame to push when the node has actions to expand.
+    fn frame(&mut self, state: SysState, key: &[u32], idx: u32) -> Option<Frame> {
         let (actions, terminal) =
             expand_actions(&state, key, &self.layout, &self.config.crash, self.por);
         if terminal {
@@ -2269,15 +2376,14 @@ fn explore_serial(
     let mut stack: Vec<Frame> = Vec::new();
     let outcome = 'search: {
         {
-            let mut root_key = ChildKey::root(&layout);
-            root_key.resolve(&root, &mut engine.interner);
+            let mut root_key = layout.key_of(&root, &mut engine.interner);
             if let Some(spec) = spec {
                 validate_symmetry(&root, spec, analysis.footprint.as_ref());
                 engine.root_perm =
-                    canonicalize_child(&mut root, &mut root_key.key, &layout, spec, None);
+                    canonicalize_child(&mut root, &mut root_key, &layout, spec, None);
             }
-            if let Some(frame) = engine.enter(root, &root_key.key, None, &[]) {
-                stack.push(frame);
+            if let Some(idx) = engine.admit(&root_key, None, &[]) {
+                stack.extend(engine.frame(root, &root_key, idx));
             }
         }
         while !stack.is_empty() && !engine.truncated {
@@ -2317,9 +2423,19 @@ fn explore_serial(
                         action,
                         perm,
                     };
-                    if let Some(frame) = engine.enter(child, &scratch, Some(link), &top.key) {
-                        stack.push(frame);
-                    }
+                    let Some(idx) = engine.admit(&scratch, Some(link), &top.key) else {
+                        continue;
+                    };
+                    let child = child.into_state(
+                        &top.state,
+                        action,
+                        child_sleep,
+                        &scratch,
+                        &layout,
+                        &crashes,
+                        &mut engine.interner,
+                    );
+                    stack.extend(engine.frame(child, &scratch, idx));
                 }
             }
         }
@@ -2512,11 +2628,11 @@ fn run_level_fused(
         for &(action, child_sleep) in actions {
             // The serial engine's child builder verbatim — the fused
             // path adds only the level bookkeeping around it, so the
-            // incremental key logic exists in exactly one place. (Past
-            // the cap it still runs, to keep scanning the rest of the
-            // level for violations, which outrank truncation — exactly
-            // as the staged pipeline's whole-level expansion does; the
-            // few extra interns are discarded with the level.)
+            // key-first child construction exists in exactly one place.
+            // (Past the cap it still runs, to keep scanning the rest of
+            // the level for violations, which outrank truncation —
+            // exactly as the staged pipeline's whole-level expansion
+            // does; the few extra interns are discarded with the level.)
             let (child, perm) = match make_child_serial(
                 state,
                 key,
@@ -2559,6 +2675,15 @@ fn run_level_fused(
                 perm.as_deref(),
                 key,
                 &key_scratch,
+            );
+            let child = child.into_state(
+                state,
+                action,
+                child_sleep,
+                &key_scratch,
+                layout,
+                crashes,
+                global,
             );
             let (child_actions, terminal) =
                 expand_actions(&child, &key_scratch, layout, &config.crash, por);
@@ -2798,30 +2923,29 @@ fn explore_frontier(
             break 'search ExploreOutcome::Truncated { states: 0 };
         }
         let mut expand: Vec<ExpandNode> = {
-            let mut root_key = ChildKey::root(&layout);
-            root_key.resolve(&root, &mut global);
+            let mut root_key = layout.key_of(&root, &mut global);
             if let Some(spec) = spec {
                 validate_symmetry(&root, spec, analysis.footprint.as_ref());
-                root_perm = canonicalize_child(&mut root, &mut root_key.key, &layout, spec, None);
+                root_perm = canonicalize_child(&mut root, &mut root_key, &layout, spec, None);
             }
-            if budget.charge(&root_key.key) {
+            if budget.charge(&root_key) {
                 // Even the root exceeds the byte cap.
                 break 'search ExploreOutcome::Truncated { states: 0 };
             }
-            let shard = shard_for(&visited, &root_key.key);
-            visited.shards_mut()[shard].insert(&root_key.key);
-            witness.push(None, 0, None, &[], &root_key.key);
+            let shard = shard_for(&visited, &root_key);
+            visited.shards_mut()[shard].insert(&root_key);
+            witness.push(None, 0, None, &[], &root_key);
             let (actions, terminal) =
-                expand_actions(&root, &root_key.key, &layout, &config.crash, por.as_ref());
+                expand_actions(&root, &root_key, &layout, &config.crash, por.as_ref());
             if terminal {
-                leaves += leaf_weight(spec, &root, &root_key.key, &layout);
+                leaves += leaf_weight(spec, &root, &root_key, &layout);
                 Vec::new()
             } else if actions.is_empty() {
                 // Unreachable in practice (the root's sleep set is empty,
                 // so its persistent set survives), kept for uniformity.
                 Vec::new()
             } else {
-                vec![(root, root_key.key, 0, actions)]
+                vec![(root, root_key, 0, actions)]
             }
         };
 
@@ -3253,13 +3377,7 @@ fn spot_check_pruned(
             }
         }
         for &action in &enabled {
-            let (mut child, _, newly) = match action {
-                Action::Step(_) => apply_to_child(&state, action, &mut NoCrashes),
-                _ => apply_to_child(&state, action, &mut LintCrashes),
-            };
-            if let Some(v) = newly {
-                child.decided_value.get_or_insert(v);
-            }
+            let child = materialize(&state, action, step_delta(&state, action), &mut LintCrashes);
             if visited.insert(spot_key(&child)) {
                 queue.push_back(child);
             }
@@ -3292,13 +3410,8 @@ fn commute_divergence(state: &SysState, p: usize, q: usize) -> Option<String> {
     };
     for &pa in &acts(p) {
         for &qa in &acts(q) {
-            let both = |a: Action, b: Action| {
-                let (mid, _, da) = apply_to_child(state, a, &mut NoCrashes);
-                let (end, _, db) = apply_to_child(&mid, b, &mut NoCrashes);
-                (end, da, db)
-            };
-            let (pq, p_first, q_second) = both(pa, qa);
-            let (qp, q_first, p_second) = both(qa, pa);
+            let (pq, p_first, q_second) = step_pair(state, pa, qa);
+            let (qp, q_first, p_second) = step_pair(state, qa, pa);
             if p_first != p_second {
                 return Some(format!("p{p}'s step outcome"));
             }
@@ -3409,6 +3522,48 @@ mod tests {
         let addr = mem.alloc_register(Value::Bottom);
         let programs: Vec<Box<dyn Program>> = vec![Box::new(ForgetfulDecider { addr, pc: 0 })];
         (mem, programs)
+    }
+
+    /// Breaks the step contract: its one step writes two different
+    /// cells.
+    #[derive(Clone, Debug)]
+    struct DoubleWriter {
+        a: Addr,
+        b: Addr,
+    }
+    impl Program for DoubleWriter {
+        fn step(&mut self, mem: &mut dyn MemOps) -> Step {
+            mem.write_register(self.a, Value::Int(1));
+            mem.write_register(self.b, Value::Int(1));
+            Step::Decided(Value::Int(1))
+        }
+        fn on_crash(&mut self) {}
+        fn state_key(&self) -> Value {
+            Value::Unit
+        }
+        fn boxed_clone(&self) -> Box<dyn Program> {
+            Box::new(self.clone())
+        }
+    }
+
+    fn double_writer_factory() -> (Memory, Vec<Box<dyn Program>>) {
+        let mut mem = Memory::new();
+        let a = mem.alloc_register(Value::Bottom);
+        let b = mem.alloc_register(Value::Bottom);
+        let programs: Vec<Box<dyn Program>> = vec![Box::new(DoubleWriter { a, b })];
+        (mem, programs)
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one shared-memory write")]
+    fn serial_engine_rejects_two_writes_in_one_step() {
+        explore(&double_writer_factory, &ExploreConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one shared-memory write")]
+    fn frontier_engine_rejects_two_writes_in_one_step() {
+        explore_parallel(&double_writer_factory, &ExploreConfig::default());
     }
 
     #[test]

@@ -236,7 +236,7 @@ pub fn unpack_key(bytes: &[u8]) -> Vec<u32> {
 /// differs (with `parent` conceptually zero-padded or truncated to the
 /// child's length). The engines build child keys exactly this way on the
 /// hot patch path — copy the parent, re-intern the few touched slots —
-/// so the delta is naturally tiny: one dirty cell, one program key, the
+/// so the delta is naturally tiny: one written cell, one program key, the
 /// raw bookkeeping words.
 pub fn delta_encode(parent: &[u32], child: &[u32]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -394,12 +394,32 @@ impl KeyFilter {
     }
 }
 
-/// The [`FxHasher`] hash of a packed key's bytes — the shared key hash
-/// of the packed table, its index, the prefilter and the spill runs.
+/// The shared key hash of the packed table, its index, the prefilter and
+/// the spill runs: an [`FxHasher`] pass over a packed key's bytes, then
+/// the murmur3 `fmix64` finalizer.
+///
+/// The finalizer is what makes the index usable. `FxHasher`'s state
+/// ends in a multiply, which only carries bits *upward*, so the low bits
+/// the index masks with see just the low bits of each rotated input
+/// word. On checker keys — leading cell slots and trailing counters that
+/// barely change, program slots in between that do — the varying bytes
+/// reach the home slot through a handful of bits, and linear probing
+/// then walks chains hundreds of slots long. `fmix64` lets every input
+/// bit reach every output bit, so home slots spread evenly.
 pub fn hash_packed(packed: &[u8]) -> u64 {
     let mut hasher = FxHasher::default();
     hasher.write(packed);
-    hasher.finish()
+    fmix64(hasher.finish())
+}
+
+/// The murmur3 64-bit finalizer: a bijective avalanche mix.
+#[inline]
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 // ---------------------------------------------------------------------
@@ -1090,6 +1110,26 @@ impl WitnessLog {
 }
 
 #[cfg(test)]
+impl PackedStateTable {
+    /// Mean distance, in slots, of every occupied index slot from its
+    /// home slot (the hash's masked low bits): the average number of
+    /// extra slots a successful probe walks.
+    fn mean_displacement(&self) -> f64 {
+        let mask = self.index.len() - 1;
+        let (mut total, mut occupied) = (0usize, 0usize);
+        for (slot, &entry) in self.index.iter().enumerate() {
+            if entry == 0 {
+                continue;
+            }
+            let home = hash_packed(self.packed_entry((entry as u32 - 1) as usize)) as usize & mask;
+            total += slot.wrapping_sub(home) & mask;
+            occupied += 1;
+        }
+        total as f64 / occupied.max(1) as f64
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1166,6 +1206,27 @@ mod tests {
             assert_eq!(packed.get(key), flat.get(key));
         }
         assert_eq!(packed.get(&[9, 9, 9, 9, 9]), None);
+    }
+
+    #[test]
+    fn index_disperses_checker_shaped_keys() {
+        // Shaped like Fig. 2 team-RC keys over `S_6`: eight cell slots
+        // that never change, six program slots that carry all the
+        // variation, then the decided word, crash count and decided
+        // value. Without a finalizer on the byte hash these keys
+        // cluster, and their mean displacement is ~37 slots.
+        let mut table = PackedStateTable::new(false, false, usize::MAX);
+        for i in 0..1u32 << 17 {
+            let mut key = vec![3, 0, 7, 1, 1, 2, 0, 5];
+            key.extend((0..6).map(|d| 40 + (i >> (3 * d) & 7)));
+            key.extend([0, 1, 0]);
+            assert!(table.insert(&key).1);
+        }
+        let displacement = table.mean_displacement();
+        assert!(
+            displacement < 4.0,
+            "occupied index slots sit {displacement:.1} slots from home on average"
+        );
     }
 
     #[test]
