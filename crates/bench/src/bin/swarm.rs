@@ -45,6 +45,10 @@ fn main() {
         SwarmCmd::Replay => cmd_replay(&systems, &args),
         SwarmCmd::Shrink => cmd_shrink(&systems, &args),
         SwarmCmd::Smoke => cmd_smoke(&systems, &args),
+        SwarmCmd::Help => {
+            println!("{}", rc_bench::swarm_cli::USAGE);
+            0
+        }
     };
     std::process::exit(code);
 }

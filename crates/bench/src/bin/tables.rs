@@ -14,8 +14,8 @@
 //! cargo run -p rc-bench --release --bin tables -- lint
 //! ```
 //!
-//! Unknown experiment ids and flags exit non-zero with the list of valid
-//! ids.
+//! `--help` prints the usage and exits 0. Unknown experiment ids and
+//! flags exit non-zero with the list of valid ids.
 
 use rc_bench::{cli, exp};
 use std::path::Path;
@@ -30,6 +30,10 @@ fn main() {
     };
     let fast = args.fast;
 
+    if args.help {
+        println!("{}", cli::USAGE);
+        return;
+    }
     if args.list {
         for id in cli::EXPERIMENT_IDS {
             println!("{id}");

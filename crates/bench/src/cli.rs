@@ -12,6 +12,22 @@ pub const EXPERIMENT_IDS: &[&str] = &[
     "e16", "e17", "e18",
 ];
 
+/// The `tables --help` text.
+pub const USAGE: &str = "\
+usage: tables [--fast] [--snapshot] [e1 ... e18]
+       tables --list
+       tables lint [--fast]
+
+Prints the experiment tables E1-E18 (all of them when no id is given).
+
+  --fast      smaller sample counts
+  --snapshot  refresh BENCH_explore.json (needs e11 e12 e13 e15 e16 e17 e18)
+  --list      print the experiment ids, one per line, and exit
+  lint        run the E14 catalog audit; exit 1 if any system fails it
+  -h, --help  print this help and exit
+
+Unknown ids and flags exit 2.";
+
 /// Parsed `tables` arguments.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TablesArgs {
@@ -28,6 +44,9 @@ pub struct TablesArgs {
     pub lint: bool,
     /// Lower-cased experiment ids to print; empty means all.
     pub selected: Vec<String>,
+    /// Print [`USAGE`] and exit 0 (`--help`, `-h`); the other arguments
+    /// are still parsed, so a typo next to `--help` is still an error.
+    pub help: bool,
 }
 
 impl TablesArgs {
@@ -57,9 +76,10 @@ where
             "--snapshot" => parsed.snapshot = true,
             "--list" => parsed.list = true,
             "lint" => parsed.lint = true,
-            flag if flag.starts_with("--") => {
+            "--help" | "-h" => parsed.help = true,
+            flag if flag.starts_with('-') => {
                 return Err(format!(
-                    "unknown flag `{flag}`; valid flags: --fast, --snapshot, --list"
+                    "unknown flag `{flag}`; valid flags: --fast, --snapshot, --list, --help"
                 ));
             }
             id => {
@@ -73,6 +93,9 @@ where
                 parsed.selected.push(id);
             }
         }
+    }
+    if parsed.help {
+        return Ok(parsed);
     }
     if parsed.list && parsed.snapshot {
         // `--list` exits before any experiment runs, so honouring both
@@ -287,5 +310,26 @@ mod tests {
     fn unknown_flag_is_rejected() {
         let err = parse_args(["--frobnicate"]).expect_err("must reject");
         assert!(err.contains("--frobnicate"), "{err}");
+        let err = parse_args(["-x"]).expect_err("must reject");
+        assert!(err.contains("-x"), "{err}");
+    }
+
+    /// `--help` and `-h` ask for the usage text (the binary prints it
+    /// and exits 0), even beside arguments that could not run together;
+    /// an unknown argument beside them is still an error.
+    #[test]
+    fn help_flag_parses_and_typos_still_fail() {
+        for flag in ["--help", "-h"] {
+            assert!(parse_args([flag]).expect("valid").help);
+            assert!(parse_args(["e4", flag]).expect("valid").help);
+            assert!(parse_args(["lint", "--list", flag]).expect("valid").help);
+            assert!(
+                parse_args([flag, "e99"]).is_err(),
+                "unknown id beside {flag}"
+            );
+            assert!(parse_args([flag, "--frobnicate"]).is_err());
+        }
+        assert!(!parse_args(["e4"]).expect("valid").help);
+        assert!(USAGE.contains("--fast") && USAGE.contains("lint"));
     }
 }

@@ -11,6 +11,7 @@
 //! swarm replay --system <id> --seed N [adversary overrides]
 //! swarm shrink --system <id> --seed N [adversary overrides]
 //! swarm smoke  [--seeds N]
+//! swarm --help
 //! ```
 //!
 //! `SPEC` is `none`, `independent:<budget>[:after-decide]` or
@@ -21,6 +22,25 @@
 //! run that reported the seed (the JSON artifact records them).
 
 use rc_runtime::CrashModel;
+
+/// The `swarm --help` text.
+pub const USAGE: &str = "\
+usage: swarm list
+       swarm run    --system <id> [--seeds N] [--seed-start N] [--threads N]
+                    [--crash-prob P] [--crash SPEC] [--json PATH]
+       swarm replay --system <id> --seed N [--crash-prob P] [--crash SPEC]
+       swarm shrink --system <id> --seed N [--crash-prob P] [--crash SPEC]
+       swarm smoke  [--seeds N]
+       swarm --help
+
+Seeded random sweeps of a catalog system (`swarm list`), with exact
+replay and shrinking of any reported seed. SPEC is `none`,
+`independent:<budget>[:after-decide]` or
+`simultaneous:<budget>[:after-decide]`; replay and shrink need the same
+overrides as the run that reported the seed. --threads 0 uses all
+cores.
+
+Unknown subcommands, flags and malformed values exit 2.";
 
 /// The subcommand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,6 +55,9 @@ pub enum SwarmCmd {
     Shrink,
     /// The bounded CI tier: find the seeded bug and shrink it.
     Smoke,
+    /// Print [`USAGE`] and exit 0 (`--help`, `-h` or `help`, alone or
+    /// after a subcommand).
+    Help,
 }
 
 /// Parsed `swarm` arguments.
@@ -138,6 +161,7 @@ where
         Some("replay") => SwarmCmd::Replay,
         Some("shrink") => SwarmCmd::Shrink,
         Some("smoke") => SwarmCmd::Smoke,
+        Some("--help" | "-h" | "help") => SwarmCmd::Help,
         Some(other) => {
             return Err(format!(
                 "unknown subcommand `{other}`; valid: list, run, replay, shrink, smoke"
@@ -206,10 +230,9 @@ where
                 parsed.crash = Some(parse_crash_spec(&v)?);
             }
             "--json" => parsed.json = Some(value_of("--json", &mut iter)?),
+            "--help" | "-h" => parsed.cmd = SwarmCmd::Help,
             other => {
-                return Err(format!(
-                    "unknown argument `{other}`; see `swarm <subcommand> --help` in README.md"
-                ));
+                return Err(format!("unknown argument `{other}`; see `swarm --help`"));
             }
         }
     }
@@ -221,7 +244,7 @@ where
                 return Err("this subcommand requires --system <id> (see `swarm list`)".into());
             }
         }
-        SwarmCmd::List | SwarmCmd::Smoke => {}
+        SwarmCmd::List | SwarmCmd::Smoke | SwarmCmd::Help => {}
     }
     if matches!(parsed.cmd, SwarmCmd::Replay | SwarmCmd::Shrink) && parsed.seed.is_none() {
         return Err("replay/shrink require --seed <N> (a seed reported by `swarm run`)".into());
@@ -298,6 +321,32 @@ mod tests {
         assert!(parse_args(["list"]).is_ok());
         assert!(parse_args(["smoke"]).is_ok());
         assert!(parse_args(["smoke", "--seeds", "500"]).is_ok());
+    }
+
+    /// `--help`, `-h` and `help` ask for the usage text (the binary
+    /// prints it and exits 0), alone or after a subcommand, where they
+    /// lift the subcommand's required arguments; unknown arguments are
+    /// still errors beside them.
+    #[test]
+    fn help_parses_alone_and_after_a_subcommand() {
+        for help in ["--help", "-h", "help"] {
+            assert_eq!(parse_args([help]).expect("valid").cmd, SwarmCmd::Help);
+        }
+        for flag in ["--help", "-h"] {
+            assert_eq!(
+                parse_args(["run", flag]).expect("valid").cmd,
+                SwarmCmd::Help
+            );
+            assert_eq!(
+                parse_args(["shrink", "--system", "x", flag])
+                    .expect("valid")
+                    .cmd,
+                SwarmCmd::Help
+            );
+            assert!(parse_args(["run", flag, "--frobnicate"]).is_err());
+        }
+        assert!(parse_args(["--frobnicate"]).is_err());
+        assert!(USAGE.contains("swarm smoke") && USAGE.contains("--crash"));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! names which process ids are interchangeable — *orbits* of processes
 //! whose initial program objects (input included) are identical — and
 //! the checker then stores only one **canonical representative** per
-//! permutation class: before every interner/visited lookup the child
-//! state is mapped to the representative, and the inverse permutation is
+//! permutation class: before every visited-set lookup the child's key
+//! is mapped to the representative's key (and only a new child's state
+//! is then built and permuted to match), and the inverse permutation is
 //! threaded through the parent links so violation witness schedules are
 //! reported in *original* process ids (see `explore`).
 //!
@@ -61,13 +62,21 @@
 //!
 //! ## Canonical representative
 //!
-//! Within each orbit, processes are ordered by a total *signature* —
-//! structurally, by `(program state key, decided bit)`, never by
-//! interner ids, so the representative choice is identical across
-//! engines, runs and thread counts. Sorting is a true
-//! canonical form: two states have equal canonical keys **iff** they are
-//! related by an orbit permutation (property-tested in
-//! `tests/proptest_runtime.rs`).
+//! Within each orbit, processes are ordered by a total *signature*:
+//! program state key, decided bit, sleep bit (under POR), then the
+//! values of the process's owned cells and scalarset family cells. The
+//! order is **structural** — the order of the [`Value`](rc_spec::Value)s
+//! — so the representative choice is identical across engines, runs
+//! and thread counts. Sorting is a true canonical form: two states have
+//! equal canonical keys **iff** they are related by an orbit permutation
+//! (property-tested in `tests/proptest_runtime.rs`).
+//!
+//! The checker evaluates the signature on the child's interned key,
+//! never on a built state ([`SymmetrySpec::canonical_perm_by`]): two
+//! equal ids are equal values (interning is injective), and only where
+//! ids differ are the values behind them compared. A child is therefore
+//! keyed, canonicalized and probed against the visited set before it is
+//! built, and only a new canonical state is materialized and permuted.
 
 use crate::memory::Addr;
 use crate::program::Pid;
@@ -352,18 +361,42 @@ impl SymmetrySpec {
     /// values of the process's owned cells — or sorting would not be a
     /// canonical form.
     pub fn canonical_perm_with<K: Ord>(&self, mut sig: impl FnMut(Pid) -> K) -> Option<Box<[u8]>> {
+        let mut sigs: Vec<Option<K>> = (0..self.n).map(|_| None).collect();
+        for pids in self.acting_orbits() {
+            for &p in pids {
+                sigs[p] = Some(sig(p));
+            }
+        }
+        self.canonical_perm_by(|a, b| sigs[a].cmp(&sigs[b]))
+    }
+
+    /// [`canonical_perm_with`](Self::canonical_perm_with) with the
+    /// signature order given as a comparator over pids: within each
+    /// orbit, members are stably sorted by `cmp` (ties keep ascending
+    /// pid order). The checker compares processes straight from a
+    /// state's interned key this way, without building a signature per
+    /// process; `cmp` must be a total order over everything the
+    /// permutation moves.
+    pub fn canonical_perm_by(
+        &self,
+        mut cmp: impl FnMut(Pid, Pid) -> std::cmp::Ordering,
+    ) -> Option<Box<[u8]>> {
         let mut perm: Option<Box<[u8]>> = None;
         for pids in self.acting_orbits() {
-            let mut ranked: Vec<(K, Pid)> = pids.iter().map(|&p| (sig(p), p)).collect();
-            // Stable, and pids are ascending, so equal signatures keep
-            // their slot order — sorted output is the canonical form.
-            ranked.sort_by(|a, b| a.0.cmp(&b.0));
-            if ranked.iter().zip(pids).all(|(r, &p)| r.1 == p) {
+            // Most orbits arrive sorted; check before allocating.
+            if pids
+                .windows(2)
+                .all(|w| cmp(w[0], w[1]) != std::cmp::Ordering::Greater)
+            {
                 continue;
             }
+            let mut ranked: Vec<Pid> = pids.to_vec();
+            // Stable, and pids are ascending, so equal signatures keep
+            // their slot order — sorted output is the canonical form.
+            ranked.sort_by(|&a, &b| cmp(a, b));
             let perm = perm.get_or_insert_with(|| identity(self.n));
-            for (i, &slot) in pids.iter().enumerate() {
-                perm[slot] = ranked[i].1 as u8;
+            for (&slot, &src) in pids.iter().zip(&ranked) {
+                perm[slot] = src as u8;
             }
         }
         perm
@@ -455,6 +488,42 @@ mod tests {
     fn canonical_perm_is_stable_on_ties() {
         let spec = SymmetrySpec::full(3);
         assert!(spec.canonical_perm_with(|_| 0).is_none());
+    }
+
+    /// The comparator sort agrees with the signature sort, and both with
+    /// a naive reference (sort each orbit by `(signature, pid)`), on
+    /// random signatures drawn from a tiny alphabet so ties are common.
+    #[test]
+    fn canonical_perm_by_matches_signature_sort_on_random_ties() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        let specs = [
+            SymmetrySpec::full(6),
+            SymmetrySpec::new(7, vec![vec![1, 3, 5], vec![0, 2, 6]]),
+            SymmetrySpec::from_classes(&[0, 1, 0, 1, 0, 1, 1, 0]),
+        ];
+        for spec in &specs {
+            for _ in 0..500 {
+                let sigs: Vec<(u64, u64)> = (0..spec.n()).map(|_| (next(3), next(2))).collect();
+                let by = spec.canonical_perm_by(|a, b| sigs[a].cmp(&sigs[b]));
+                assert_eq!(by, spec.canonical_perm_with(|p| sigs[p]), "{sigs:?}");
+                let mut reference = identity(spec.n());
+                for pids in spec.acting_orbits() {
+                    let mut ranked = pids.to_vec();
+                    ranked.sort_by_key(|&p| (sigs[p], p));
+                    for (&slot, &src) in pids.iter().zip(&ranked) {
+                        reference[slot] = src as u8;
+                    }
+                }
+                let expected = (reference != identity(spec.n())).then_some(reference);
+                assert_eq!(by, expected, "{sigs:?}");
+            }
+        }
     }
 
     #[test]

@@ -62,17 +62,20 @@
 //! [`explore_symmetric`] accepts a factory that also declares a
 //! [`SymmetrySpec`] — which process ids are interchangeable (identical
 //! program, identical input, per-process cells registered). Both engines
-//! then map every child state to a **canonical representative** under
-//! process-id permutation before the interner/visited lookup, so entire
+//! then map every child's key to its **canonical representative's key**
+//! under process-id permutation before the visited lookup, so entire
 //! permutation classes collapse to one stored state: verdicts are
 //! unchanged, state counts shrink by up to the product of the orbit
 //! factorials, leaf counts stay identical (canonical leaves are weighted
 //! by their class size), and violation witnesses are reported in
 //! *original* process ids by threading the inverse permutations through
-//! the parent links. Canonical representatives are chosen by
-//! *structural* signature ordering — never by interner ids — so the
-//! reduction composes with the frontier pipeline without disturbing the
-//! byte-identical determinism across runs and thread counts. See the
+//! the parent links. The representative is chosen on the child's
+//! patched key, so — as without symmetry — only a new child is built,
+//! then permuted to match its key. The order is *structural*: equal ids
+//! are equal values, and differing ids compare by the values behind
+//! them, never by the ids themselves — so the reduction composes with
+//! the frontier pipeline without disturbing the byte-identical
+//! determinism across runs and thread counts. See the
 //! [`canon`](crate::canon) module for the soundness argument.
 //!
 //! ## Partial-order reduction
@@ -104,11 +107,12 @@ use crate::footprint::{
     LocalStateInfo, StaticIndependence, SystemAnalysis, SystemFootprint,
 };
 use crate::intern::{Resolved, ShardInterner, ShardedStateTable, StateTable, ValueInterner};
-use crate::memory::{Cell, MemOps, Memory};
+use crate::memory::{Addr, Cell, MemOps, Memory};
 use crate::program::{Pid, Program, Rebinding, Step};
 use crate::sched::Action;
 use crate::storage::{packed_key_len, StorageTier, VisitedTable, WitnessLog};
 use rc_spec::{Operation, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -655,26 +659,40 @@ impl KeyLayout {
         }
     }
 
-    /// `state`'s key built from scratch, every value slot interned (cells
-    /// in address order, then program keys, then the decided value) and
-    /// the sleep words zero. The root's key is built this way; every
-    /// other key is patched from its parent's ([`patch_child_key`]), and
-    /// debug builds check each materialized child's patched key against
-    /// this one.
-    fn key_of(&self, state: &SysState, interner: &mut ValueInterner) -> Vec<u32> {
+    /// The node's packed decided bits, read back from its key.
+    fn read_decided(&self, key: &[u32]) -> u64 {
+        let mut mask = 0u64;
+        for w in 0..self.decided_words() {
+            mask |= u64::from(key[self.cells + self.n + w]) << (32 * w);
+        }
+        mask
+    }
+
+    /// Writes `decided` into the key's decided words.
+    fn write_decided(&self, key: &mut [u32], decided: u64) {
+        for w in 0..self.decided_words() {
+            key[self.cells + self.n + w] = (decided >> (32 * w)) as u32;
+        }
+    }
+
+    /// `state`'s key built from scratch, every value slot resolved
+    /// through `id` (cells in address order, then program keys, then the
+    /// decided value) and the sleep words zero. The root's key is built
+    /// this way; every other key is patched from its parent's
+    /// ([`patch_child_key`]), and debug builds check each materialized
+    /// child's patched key against this one.
+    fn key_of(&self, state: &SysState, mut id: impl FnMut(&Value) -> u32) -> Vec<u32> {
         let mut key = vec![0; self.len()];
         for (cell, slot) in key[..self.cells].iter_mut().enumerate() {
-            *slot = interner.intern(state.mem.value_ref(cell));
+            *slot = id(state.mem.value_ref(cell));
         }
         for (p, prog) in state.programs.iter().enumerate() {
-            key[self.prog(p)] = interner.intern(&prog.state_key());
+            key[self.prog(p)] = id(&prog.state_key());
         }
-        for w in 0..self.decided_words() {
-            key[self.cells + self.n + w] = (state.decided >> (32 * w)) as u32;
-        }
+        self.write_decided(&mut key, state.decided);
         key[self.crashes()] = u32::try_from(state.crashes_used).expect("crash budget fits u32");
         key[self.decided_value()] = match &state.decided_value {
-            Some(v) => interner.intern(v),
+            Some(v) => id(v),
             None => ValueInterner::NONE,
         };
         key
@@ -810,9 +828,7 @@ fn patch_child_key(
                 u32::try_from(parent.crashes_used + 1).expect("crash budget fits u32");
         }
         Action::CrashAll => {
-            for w in 0..layout.decided_words() {
-                key[layout.cells + layout.n + w] = 0;
-            }
+            layout.write_decided(key, 0);
             key[layout.crashes()] =
                 u32::try_from(parent.crashes_used + 1).expect("crash budget fits u32");
         }
@@ -959,19 +975,16 @@ fn resolve_slot(
     }
 }
 
-/// A child whose key is final, as the child builders return it.
-enum KeyedChild {
-    /// Symmetry off: still a delta against its parent, so a duplicate
-    /// is dropped without ever building its state.
-    Delta(StepDelta),
-    /// Symmetry on: built already, because canonicalization sorts on
-    /// the state.
-    Built(SysState),
+/// The inverse of [`local_placeholder`].
+fn placeholder_local(placeholder: u32) -> u32 {
+    ValueInterner::NONE - 1 - placeholder
 }
 
 /// A keyed child plus its canonicalization permutation (`None` =
-/// identity), as returned by [`make_child_serial`].
-type SerialChild = (KeyedChild, Option<Box<[u8]>>);
+/// identity), as returned by [`make_child_serial`]: still a delta
+/// against its parent, so a duplicate is dropped without ever building
+/// its state.
+type SerialChild = (StepDelta, Option<Box<[u8]>>);
 
 /// A surviving child of [`make_child_frontier`]: state, owned key, its
 /// unresolved slots, its destination shard (when routable) and its
@@ -985,11 +998,11 @@ type FrontierChild = (
 );
 
 /// The parallel engine's child builder: steps a clone of the parent's
-/// program against the parent's memory ([`step_delta`]), then patches
-/// and resolves the child key **in the reusable `key_scratch` buffer**
-/// against the *frozen* global interner. Duplicates are dropped right
-/// here, in the worker, before their state is ever built (unless
-/// symmetry needs the state to canonicalize):
+/// program against the parent's memory ([`step_delta`]), then patches,
+/// resolves and canonicalizes the child key **in the reusable
+/// `key_scratch` buffer** against the *frozen* global interner.
+/// Duplicates are dropped right here, in the worker, before their state
+/// is ever built:
 ///
 /// * a child already produced by this chunk (`seen_in_chunk`, keyed on
 ///   the scratch key — placeholder-encoded local ids keep it injective)
@@ -1029,28 +1042,32 @@ fn make_child_frontier(
         |key, pos, value| resolve_slot(pos, value, key, &mut unresolved, global, scratch),
     )?;
     let key = key_scratch;
-    // Canonicalize before any dedup: the signature ordering is
-    // structural, so the representative (and therefore the chunk-local
-    // and cross-level dedup behaviour) is worker-count independent even
-    // while key slots still hold local placeholder ids — whose
-    // *positions* the canonicalization may move, tracked via `moved`.
-    let (child, perm) = match spec {
-        None => (KeyedChild::Delta(delta), None),
-        Some(spec) => {
-            let mut child = materialize(parent, action, delta, &mut FixedCrashes(crashes));
-            let mut spec_moved: Vec<(usize, usize)> = Vec::new();
-            let perm = canonicalize_child(&mut child, key, layout, spec, Some(&mut spec_moved));
-            if perm.is_some() && !unresolved.is_empty() {
-                for entry in &mut unresolved {
-                    if let Some(&(_, new_pos)) = spec_moved.iter().find(|&&(old, _)| old == entry.0)
-                    {
-                        entry.0 = new_pos;
-                    }
-                }
+    // Canonicalize before any dedup: the signature order is structural
+    // (equal ids, else the values behind them — a placeholder's value
+    // lives in this worker's local interner), so the representative and
+    // therefore the dedup behaviour are worker-count independent even
+    // while key slots still hold placeholders, whose positions the
+    // permutation moves.
+    let perm = canonicalize_key(
+        spec,
+        || child_pinned(parent, action, &delta, crashes),
+        key,
+        layout,
+        |id| {
+            if (id as usize) < global.len() {
+                global.value(id)
+            } else {
+                scratch.value(placeholder_local(id))
             }
-            (KeyedChild::Built(child), perm)
+        },
+    );
+    if let (Some(perm), Some(spec)) = (&perm, spec) {
+        for entry in &mut unresolved {
+            if let Some((_, new_pos)) = moved_slots(perm, layout, spec).find(|m| m.0 == entry.0) {
+                entry.0 = new_pos;
+            }
         }
-    };
+    }
     let shard = if unresolved.is_empty() {
         // Prior-level duplicates drop before touching the chunk table.
         let shard = shard_for(visited, key);
@@ -1065,22 +1082,31 @@ fn make_child_frontier(
     if !first_in_chunk {
         return Ok(None);
     }
-    let child = match child {
-        KeyedChild::Delta(delta) => materialize(parent, action, delta, &mut FixedCrashes(crashes)),
-        KeyedChild::Built(child) => child,
-    };
+    let child = delta.into_state(
+        parent,
+        action,
+        child_sleep,
+        perm.as_deref(),
+        key,
+        layout,
+        crashes,
+        spec,
+        |v| match scratch.resolve(global, v) {
+            Resolved::Global(id) => id,
+            Resolved::Local(local) => local_placeholder(local),
+        },
+    );
     Ok(Some((child, key.clone(), unresolved, shard, perm)))
 }
 
 /// The serial child builder (the DFS engine and the frontier's fused
 /// level path): the interner is at hand, so the final key is written
-/// straight into the reusable `scratch` buffer. Without a
-/// [`SymmetrySpec`] the child comes back as a [`KeyedChild::Delta`],
-/// which the caller builds ([`KeyedChild::into_state`]) only once the
-/// visited set calls the key new — a duplicate costs the program clone
-/// and step, never a state. With a spec the child is built and mapped to
-/// its canonical representative before the caller probes the visited
-/// set; the returned permutation goes on the child's parent link.
+/// straight into the reusable `scratch` buffer — patched, then (with a
+/// [`SymmetrySpec`]) mapped to its canonical representative's key. The
+/// child comes back as its [`StepDelta`], which the caller builds
+/// ([`StepDelta::into_state`]) only once the visited set calls the key
+/// new — a duplicate costs the program clone and step, never a state.
+/// The returned permutation goes on the child's parent link.
 #[allow(clippy::too_many_arguments)]
 fn make_child_serial(
     parent: &SysState,
@@ -1107,63 +1133,116 @@ fn make_child_serial(
         scratch,
         |key, pos, value| key[pos] = interner.intern(value),
     )?;
-    let Some(spec) = spec else {
-        return Ok((KeyedChild::Delta(delta), None));
-    };
-    let mut child = materialize(parent, action, delta, &mut FixedCrashes(crashes));
-    debug_assert_patched_key(&child, scratch, child_sleep, layout, interner);
-    let perm = canonicalize_child(&mut child, scratch, layout, spec, None);
-    Ok((KeyedChild::Built(child), perm))
+    let perm = canonicalize_key(
+        spec,
+        || child_pinned(parent, action, &delta, crashes),
+        scratch,
+        layout,
+        |id| interner.value(id),
+    );
+    Ok((delta, perm))
 }
 
-impl KeyedChild {
-    /// The child's state: a [`KeyedChild::Built`] child as is, a delta
-    /// materialized against its parent now. `key` is the child's key
-    /// from [`make_child_serial`].
+impl StepDelta {
+    /// Builds the child this delta leads to from `parent` and moves it to
+    /// its canonical representative with `perm` (from the child's
+    /// [`canonicalize_key`]; `None` = identity), once the visited set
+    /// admitted its key `key`. Debug builds check the built child against
+    /// `key` (resolving values through `id`) and, with a `spec`, that the
+    /// child is canonical under the structural signature.
     #[allow(clippy::too_many_arguments)]
     fn into_state(
         self,
         parent: &SysState,
         action: Action,
         child_sleep: u64,
+        perm: Option<&[u8]>,
         key: &[u32],
         layout: &KeyLayout,
         crashes: &CrashedSet,
-        interner: &mut ValueInterner,
+        spec: Option<&SymmetrySpec>,
+        id: impl FnMut(&Value) -> u32,
     ) -> SysState {
-        match self {
-            KeyedChild::Built(child) => child,
-            KeyedChild::Delta(delta) => {
-                let child = materialize(parent, action, delta, &mut FixedCrashes(crashes));
-                debug_assert_patched_key(&child, key, child_sleep, layout, interner);
-                child
-            }
+        let mut child = materialize(parent, action, self, &mut FixedCrashes(crashes));
+        let mut sleep = child_sleep;
+        if let (Some(perm), Some(spec)) = (perm, spec) {
+            permute_state(&mut child, perm, layout, spec);
+            sleep = permute_mask(sleep, perm);
         }
+        debug_assert_keyed(&child, key, sleep, layout, spec, id);
+        child
     }
 }
 
-/// Debug builds only: asserts that a materialized child's patched key
-/// equals its key built from scratch ([`KeyLayout::key_of`] plus the
-/// child's sleep words), checked before any canonicalization. This is
-/// the invariant the serial engines' key-first path rests on: the
-/// visited set decides on the patched key alone. Interning here never
-/// hands out a new id, because every value of the child already sits in
-/// its patched key.
-fn debug_assert_patched_key(
+/// Debug builds only: the two invariants the key-first path rests on,
+/// checked on every materialized state.
+///
+/// * The child's patched (and permuted) key equals its key built from
+///   scratch ([`KeyLayout::key_of`] plus the child's sleep words): the
+///   visited set decides on that key alone. Resolving here never hands
+///   out a new id, because every value of the child already sits in its
+///   key.
+/// * With a `spec`, the child is already canonical under the
+///   **structural** signature — program state key, decided bit, sleep
+///   bit, owned-cell and scalarset-family values, sorted as `Value`s by
+///   [`SymmetrySpec::canonical_perm_with`] — unless one of its programs
+///   is scalarset-pinned. This is an independent oracle for the
+///   key-based comparator of [`canonical_perm_of_key`].
+fn debug_assert_keyed(
     child: &SysState,
     key: &[u32],
-    child_sleep: u64,
+    sleep: u64,
     layout: &KeyLayout,
-    interner: &mut ValueInterner,
+    spec: Option<&SymmetrySpec>,
+    id: impl FnMut(&Value) -> u32,
 ) {
-    if cfg!(debug_assertions) {
-        let mut scratch = layout.key_of(child, interner);
-        layout.write_sleep(&mut scratch, child_sleep);
-        assert_eq!(
-            scratch, key,
-            "a patched child key differs from the child's key built from scratch"
-        );
+    if !cfg!(debug_assertions) {
+        return;
     }
+    let mut scratch = layout.key_of(child, id);
+    layout.write_sleep(&mut scratch, sleep);
+    assert_eq!(
+        scratch, key,
+        "a patched child key differs from the child's key built from scratch"
+    );
+    let Some(spec) = spec else {
+        return;
+    };
+    if spec.has_moving_scalarsets() && child.programs.iter().any(|p| p.scalarset_pinned()) {
+        return;
+    }
+    let perm = structural_perm(child, sleep, spec);
+    assert!(
+        perm.is_none(),
+        "a key-canonicalized child is not canonical under the structural \
+         signature (it would still move by {perm:?})"
+    );
+}
+
+/// The canonical permutation of a built state with sleep mask `sleep`,
+/// sorted on per-process signatures built from [`Value`]s (state key,
+/// decided and sleep bits, owned and family cell contents). This is the
+/// reference [`canonical_perm_of_key`] must agree with; only debug
+/// builds and tests evaluate it.
+fn structural_perm(state: &SysState, sleep: u64, spec: &SymmetrySpec) -> Option<Box<[u8]>> {
+    spec.canonical_perm_with(|p| {
+        let owned: Vec<&Value> = spec
+            .owned(p)
+            .iter()
+            .map(|&a| state.mem.value_ref(a.index()))
+            .collect();
+        let family: Vec<&Value> = spec
+            .scalarset_cells(p)
+            .map(|a| state.mem.value_ref(a.index()))
+            .collect();
+        (
+            state.programs[p].state_key(),
+            state.is_decided(p),
+            sleep >> p & 1 != 0,
+            owned,
+            family,
+        )
+    })
 }
 
 fn check_output(
@@ -2056,162 +2135,229 @@ fn cross_validate_node(state: &SysState, indep: &StaticIndependence) {
     }
 }
 
-/// Maps `child` (and its key, resolved or placeholder-carrying) to its
-/// canonical representative under `spec`'s orbit permutations. Program
-/// slots and decided bits move together; declared **owned cells** move
-/// with their owners and the relocated programs are rebound
-/// ([`Program::rebind`]) to their destination slots' cells — undeclared
-/// shared memory never moves (see the `canon` module docs for the
-/// soundness argument and the owner-only reference rule). The signature
-/// ordering is **structural** (state-key values and owned-cell `Value`s,
-/// never interner ids), so the representative choice is identical across
-/// engines, runs and thread counts — including in frontier workers whose
-/// keys still hold worker-local placeholder ids.
-///
-/// Returns the permutation applied (`perm[i]` = source slot of canonical
-/// slot `i`), or `None` if the state was already canonical. When `moved`
-/// is given, every relocated key position — program slots *and* owned
-/// cells — is recorded as `(old_pos, new_pos)` so the caller can remap
-/// pending unresolved slots.
-fn canonicalize_child(
-    child: &mut SysState,
+/// Maps a keyed child's key — resolved, or carrying frontier
+/// placeholders — to its canonical representative's key under `spec`'s
+/// orbit permutations, without building the child. Returns the
+/// permutation applied (`perm[i]` = source slot of canonical slot `i`,
+/// see [`permute_key`]), or `None` when there is no spec, the key is
+/// already canonical, or `pinned()` reports a scalarset-pinned program:
+/// a pinned program references scalarset family members *positionally*
+/// (a mid-scan mask of checked positions), and permuting the family
+/// under it would dangle those references. Identity is always sound —
+/// pinned states simply forgo reduction, and the certifier guarantees
+/// the states that carry leaf weights (decided ones) are never pinned.
+/// `value_of` resolves the key's ids for [`canonical_perm_of_key`].
+fn canonicalize_key<'v>(
+    spec: Option<&SymmetrySpec>,
+    pinned: impl FnOnce() -> bool,
     key: &mut [u32],
     layout: &KeyLayout,
-    spec: &SymmetrySpec,
-    mut moved: Option<&mut Vec<(usize, usize)>>,
+    value_of: impl Fn(u32) -> &'v Value,
 ) -> Option<Box<[u8]>> {
-    let scalarsets = spec.has_moving_scalarsets();
-    if scalarsets && child.programs.iter().any(|p| p.scalarset_pinned()) {
-        // A pinned program references scalarset family members
-        // *positionally* (a mid-scan mask of checked positions);
-        // permuting the family under it would dangle those references.
-        // Identity is always sound — pinned states simply forgo
-        // reduction, and the certifier guarantees the states that carry
-        // leaf weights (decided ones) are never pinned.
+    let spec = spec?;
+    if spec.has_moving_scalarsets() && pinned() {
         return None;
     }
-    // The sleep bit joins the signature (constant `false` with POR off,
-    // so ties — and therefore representative choices — are unchanged):
-    // under POR, node identity is `(state, sleep set)`, and the mask
-    // permutes with its processes exactly like the decided bits.
-    let sleep = layout.read_sleep(key);
-    let perm = spec.canonical_perm_with(|p| {
-        // Owned-cell values are part of the signature: the permutation
-        // moves them, so the sort must be total over them (two members
-        // with equal program keys but different owned contents are
-        // *different* payloads). Slots-only specs own nothing and pay
-        // only an empty-Vec comparison. Scalarset family cells move with
-        // the slots exactly like owned cells, so their values join the
-        // signature the same way.
-        let owned: Vec<&Value> = spec
-            .owned(p)
-            .iter()
-            .map(|&a| child.mem.value_ref(a.index()))
-            .collect();
-        let family: Vec<&Value> = if scalarsets {
-            spec.scalarset_cells(p)
-                .map(|a| child.mem.value_ref(a.index()))
-                .collect()
-        } else {
-            Vec::new()
+    let perm = canonical_perm_of_key(key, layout, spec, value_of)?;
+    permute_key(key, &perm, layout, spec);
+    Some(perm)
+}
+
+/// Whether the child `action` leads to holds a scalarset-pinned program,
+/// read off the parent's programs, the stepped program of `delta` and
+/// the post-crash set — the child itself is not built.
+fn child_pinned(
+    parent: &SysState,
+    action: Action,
+    delta: &StepDelta,
+    crashes: &CrashedSet,
+) -> bool {
+    (0..parent.programs.len()).any(|p| {
+        let prog: &dyn Program = match action {
+            Action::Step(q) | Action::Branch(q, _) if q == p => delta
+                .prog
+                .as_deref()
+                .expect("a step delta holds its program"),
+            Action::Crash(q) if q == p => &**crashes.progs[p],
+            Action::CrashAll => &**crashes.progs[p],
+            _ => &**parent.programs[p],
         };
-        (
-            child.programs[p].state_key(),
-            child.is_decided(p),
-            sleep >> p & 1 != 0,
-            owned,
-            family,
-        )
-    })?;
-    // Gather every moved payload before writing anything: a slot may be
-    // both a source and a destination within one orbit rotation.
-    let mut progs: Vec<(usize, Arc<Box<dyn Program>>)> = Vec::new();
-    let mut slots: Vec<(usize, usize, u32)> = Vec::new(); // (old, new, value)
-    let mut cells: Vec<(usize, usize, CowCell, u32)> = Vec::new(); // (old, new, content, value)
-    let mut decided = child.decided;
-    // Built lazily on the first owned-cell move: most canonicalizations
-    // of slots-only specs (and moves confined to cell-less orbits) never
-    // pay the O(cells) identity allocation.
+        prog.scalarset_pinned()
+    })
+}
+
+/// The canonical-representative permutation of the state keyed `key`,
+/// chosen on the key alone. Within each orbit, members are ordered by
+/// their key slots, in signature order: program state, decided bit,
+/// sleep bit (constant without POR), then owned-cell and scalarset
+/// family contents. The sleep bit is there because under POR node
+/// identity is `(state, sleep set)` and the mask permutes with its
+/// processes; owned and family contents because the permutation moves
+/// them, so the order must be total over them.
+///
+/// Value slots compare **equal when their ids are equal, else by the
+/// values behind them** (`value_of`). Interning is injective, so this is
+/// exactly the structural order of the values — never the order of the
+/// ids, which depends on first-use order and, in frontier workers, on
+/// worker-local placeholders. The representative is therefore identical
+/// across engines, runs and thread counts, and equal to the structural
+/// sort debug builds check against (`debug_assert_keyed`).
+fn canonical_perm_of_key<'v>(
+    key: &[u32],
+    layout: &KeyLayout,
+    spec: &SymmetrySpec,
+    value_of: impl Fn(u32) -> &'v Value,
+) -> Option<Box<[u8]>> {
+    let decided = layout.read_decided(key);
+    let sleep = layout.read_sleep(key);
+    let slot = |a: usize, b: usize| {
+        let (a, b) = (key[a], key[b]);
+        if a == b {
+            Ordering::Equal
+        } else {
+            value_of(a).cmp(value_of(b))
+        }
+    };
+    let cells = |a: &[Addr], b: &[Addr]| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| slot(x.index(), y.index()))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    };
+    spec.canonical_perm_by(|a, b| {
+        slot(layout.prog(a), layout.prog(b))
+            .then_with(|| (decided >> a & 1).cmp(&(decided >> b & 1)))
+            .then_with(|| (sleep >> a & 1).cmp(&(sleep >> b & 1)))
+            .then_with(|| cells(spec.owned(a), spec.owned(b)))
+            .then_with(|| {
+                spec.scalarset_families()
+                    .iter()
+                    .map(|family| slot(family[a].index(), family[b].index()))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            })
+    })
+}
+
+/// Every key value slot `perm` relocates, as `(old_pos, new_pos)`: the
+/// program slot of each moved process, its declared **owned cells**
+/// (position for position) and its **scalarset family** cells. The
+/// decided and sleep words move too, bitwise ([`permute_mask`]);
+/// undeclared shared memory never moves (see the `canon` module docs for
+/// the soundness argument and the owner-only reference rule).
+fn moved_slots<'a>(
+    perm: &'a [u8],
+    layout: &'a KeyLayout,
+    spec: &'a SymmetrySpec,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    perm.iter()
+        .enumerate()
+        .filter(|&(i, &src)| usize::from(src) != i)
+        .flat_map(move |(i, &src)| {
+            let src = usize::from(src);
+            let owned = spec
+                .owned(src)
+                .iter()
+                .zip(spec.owned(i))
+                .map(|(from, to)| (from.index(), to.index()));
+            let family = spec
+                .scalarset_families()
+                .iter()
+                .map(move |family| (family[src].index(), family[i].index()));
+            std::iter::once((layout.prog(src), layout.prog(i)))
+                .chain(owned)
+                .chain(family)
+        })
+}
+
+/// `mask` with bit `i` taken from bit `perm[i]`.
+fn permute_mask(mask: u64, perm: &[u8]) -> u64 {
+    perm.iter()
+        .enumerate()
+        .fold(0, |acc, (i, &src)| acc | (mask >> src & 1) << i)
+}
+
+/// Applies the orbit permutation `perm` (`perm[i]` = source slot of
+/// slot `i`) to a state key: program slots, owned and family cells,
+/// decided words and sleep words. [`permute_state`] is the same move on
+/// a built state; the two agree slot for slot (debug builds check every
+/// materialized child, and a unit test checks them directly).
+fn permute_key(key: &mut [u32], perm: &[u8], layout: &KeyLayout, spec: &SymmetrySpec) {
+    // Read every source before writing: a slot may be both a source and
+    // a destination within one orbit rotation.
+    let source = key.to_vec();
+    for (old, new) in moved_slots(perm, layout, spec) {
+        key[new] = source[old];
+    }
+    layout.write_decided(key, permute_mask(layout.read_decided(&source), perm));
+    layout.write_sleep(key, permute_mask(layout.read_sleep(&source), perm));
+}
+
+/// Applies the orbit permutation `perm` to a built state: programs and
+/// decided bits move between slots, owned and family cell contents move
+/// with them ([`moved_slots`]), and every relocated program whose
+/// destination owns cells, or whose family moved, is rebound
+/// ([`Program::rebind`]) to its destination slot's cells. Unlike owned
+/// cells, family cells are cross-read — which is exactly what the
+/// scalarset certificate licenses (the scan is an order-insensitive
+/// fold, so every program is equivariant under the family permutation).
+fn permute_state(state: &mut SysState, perm: &[u8], layout: &KeyLayout, spec: &SymmetrySpec) {
+    let scalarsets = spec.has_moving_scalarsets();
+    // Gather every moved payload before writing anything, as in
+    // `permute_key`. The rebinding is built only on the first cell move:
+    // slots-only specs never pay its O(cells) identity allocation.
+    let mut cells: Vec<(usize, CowCell)> = Vec::new();
     let mut rebinding: Option<Rebinding> = None;
+    for (old, new) in moved_slots(perm, layout, spec) {
+        if old < layout.cells {
+            cells.push((new, state.mem.cells[old].clone()));
+            rebinding
+                .get_or_insert_with(|| Rebinding::identity(layout.cells))
+                .map(Addr(old), Addr(new));
+        }
+    }
+    let programs = state.programs.clone();
     for (i, &src) in perm.iter().enumerate() {
-        let src = src as usize;
+        let src = usize::from(src);
         if src == i {
             continue;
         }
-        progs.push((i, child.programs[src].clone()));
-        decided = (decided & !(1 << i)) | ((child.decided >> src & 1) << i);
-        slots.push((layout.prog(src), layout.prog(i), key[layout.prog(src)]));
-        for (k, &dst_cell) in spec.owned(i).iter().enumerate() {
-            let src_cell = spec.owned(src)[k];
-            cells.push((
-                src_cell.index(),
-                dst_cell.index(),
-                child.mem.cells[src_cell.index()].clone(),
-                key[src_cell.index()],
-            ));
-            // The program moving src → i holds src's owned cells; after
-            // the move it must hold i's (position for position).
-            rebinding
-                .get_or_insert_with(|| Rebinding::identity(layout.cells))
-                .map(src_cell, dst_cell);
-        }
-        // Scalarset family cells move with the slots too: the family
-        // member at position `src` becomes the member at position `i`.
-        // Unlike owned cells they are cross-read — which is exactly what
-        // the scalarset certificate licenses (the scan is an
-        // order-insensitive fold, so every program is equivariant under
-        // the family permutation).
-        if scalarsets {
-            for family in spec.scalarset_families() {
-                let (src_cell, dst_cell) = (family[src], family[i]);
-                cells.push((
-                    src_cell.index(),
-                    dst_cell.index(),
-                    child.mem.cells[src_cell.index()].clone(),
-                    key[src_cell.index()],
-                ));
-                rebinding
-                    .get_or_insert_with(|| Rebinding::identity(layout.cells))
-                    .map(src_cell, dst_cell);
-            }
-        }
-    }
-    for (i, prog) in progs {
-        child.programs[i] = prog;
-        if let Some(map) = rebinding.as_ref() {
-            // A relocated program rebinds when its destination owns
-            // cells, or when family members moved with it (its own
-            // family handle relocated).
+        state.programs[i] = programs[src].clone();
+        if let Some(map) = &rebinding {
             if scalarsets || !spec.owned(i).is_empty() {
-                program_mut(&mut child.programs[i]).rebind(map);
+                program_mut(&mut state.programs[i]).rebind(map);
             }
         }
     }
-    child.decided = decided;
-    for &(old_pos, new_pos, value) in &slots {
-        key[new_pos] = value;
-        if let Some(moved) = moved.as_deref_mut() {
-            moved.push((old_pos, new_pos));
-        }
+    for (new, content) in cells {
+        state.mem.cells[new] = content;
     }
-    for (old_pos, new_pos, content, value) in cells {
-        child.mem.cells[new_pos] = content;
-        key[new_pos] = value;
-        if let Some(moved) = moved.as_deref_mut() {
-            moved.push((old_pos, new_pos));
-        }
+    state.decided = permute_mask(state.decided, perm);
+}
+
+/// Maps the root and its key to the canonical representative, exactly as
+/// every child is ([`canonicalize_key`], then [`permute_state`]), and
+/// returns the permutation applied.
+fn canonicalize_root(
+    root: &mut SysState,
+    key: &mut [u32],
+    layout: &KeyLayout,
+    spec: &SymmetrySpec,
+    interner: &mut ValueInterner,
+) -> Option<Box<[u8]>> {
+    let perm = canonicalize_key(
+        Some(spec),
+        || root.programs.iter().any(|p| p.scalarset_pinned()),
+        key,
+        layout,
+        |id| interner.value(id),
+    );
+    if let Some(perm) = &perm {
+        permute_state(root, perm, layout, spec);
     }
-    for w in 0..layout.decided_words() {
-        key[layout.cells + layout.n + w] = (child.decided >> (32 * w)) as u32;
-    }
-    if layout.sleep_words > 0 {
-        let mut permuted = 0u64;
-        for (i, &src) in perm.iter().enumerate() {
-            permuted |= (sleep >> src & 1) << i;
-        }
-        layout.write_sleep(key, permuted);
-    }
-    Some(perm)
+    debug_assert_keyed(root, key, 0, layout, Some(spec), |v| interner.intern(v));
+    perm
 }
 
 /// The leaf weight of an accepted canonical state: how many concrete
@@ -2279,7 +2425,7 @@ impl SerialEngine<'_> {
     fn admit(
         &mut self,
         key: &[u32],
-        parent: Option<ParentLink>,
+        parent: Option<&ParentLink>,
         parent_key: &[u32],
     ) -> Option<u32> {
         if self.visited.len() >= self.config.max_states {
@@ -2293,7 +2439,7 @@ impl SerialEngine<'_> {
         if !is_new {
             return None;
         }
-        match &parent {
+        match parent {
             None => self.witness.push(None, 0, None, parent_key, key),
             Some(link) => self.witness.push(
                 Some(link.parent),
@@ -2376,11 +2522,16 @@ fn explore_serial(
     let mut stack: Vec<Frame> = Vec::new();
     let outcome = 'search: {
         {
-            let mut root_key = layout.key_of(&root, &mut engine.interner);
+            let mut root_key = layout.key_of(&root, |v| engine.interner.intern(v));
             if let Some(spec) = spec {
                 validate_symmetry(&root, spec, analysis.footprint.as_ref());
-                engine.root_perm =
-                    canonicalize_child(&mut root, &mut root_key, &layout, spec, None);
+                engine.root_perm = canonicalize_root(
+                    &mut root,
+                    &mut root_key,
+                    &layout,
+                    spec,
+                    &mut engine.interner,
+                );
             }
             if let Some(idx) = engine.admit(&root_key, None, &[]) {
                 stack.extend(engine.frame(root, &root_key, idx));
@@ -2423,17 +2574,19 @@ fn explore_serial(
                         action,
                         perm,
                     };
-                    let Some(idx) = engine.admit(&scratch, Some(link), &top.key) else {
+                    let Some(idx) = engine.admit(&scratch, Some(&link), &top.key) else {
                         continue;
                     };
                     let child = child.into_state(
                         &top.state,
                         action,
                         child_sleep,
+                        link.perm.as_deref(),
                         &scratch,
                         &layout,
                         &crashes,
-                        &mut engine.interner,
+                        spec,
+                        |v| engine.interner.intern(v),
                     );
                     stack.extend(engine.frame(child, &scratch, idx));
                 }
@@ -2680,10 +2833,12 @@ fn run_level_fused(
                 state,
                 action,
                 child_sleep,
+                perm.as_deref(),
                 &key_scratch,
                 layout,
                 crashes,
-                global,
+                spec,
+                |v| global.intern(v),
             );
             let (child_actions, terminal) =
                 expand_actions(&child, &key_scratch, layout, &config.crash, por);
@@ -2923,10 +3078,10 @@ fn explore_frontier(
             break 'search ExploreOutcome::Truncated { states: 0 };
         }
         let mut expand: Vec<ExpandNode> = {
-            let mut root_key = layout.key_of(&root, &mut global);
+            let mut root_key = layout.key_of(&root, |v| global.intern(v));
             if let Some(spec) = spec {
                 validate_symmetry(&root, spec, analysis.footprint.as_ref());
-                root_perm = canonicalize_child(&mut root, &mut root_key, &layout, spec, None);
+                root_perm = canonicalize_root(&mut root, &mut root_key, &layout, spec, &mut global);
             }
             if budget.charge(&root_key) {
                 // Even the root exceeds the byte cap.
@@ -3440,6 +3595,7 @@ fn commute_divergence(state: &SysState, p: usize, q: usize) -> Option<String> {
 mod tests {
     use super::*;
     use crate::memory::{Addr, MemOps};
+    use crate::scalarset::tests::set_sum_system;
 
     /// A correct 1-process program: decides its input.
     #[derive(Clone, Debug)]
@@ -4971,5 +5127,207 @@ mod tests {
             "{:?}",
             report.warnings
         );
+    }
+
+    /// A masked-style system over `S_n`: every process owns the register
+    /// it writes and reads back (the input-masking shape).
+    fn owned_reg_system(n: usize) -> (Memory, Vec<Box<dyn Program>>, SymmetrySpec) {
+        let (mem, programs, regs) = own_reg_factory(n);
+        let spec = regs
+            .iter()
+            .enumerate()
+            .fold(SymmetrySpec::full(n), |spec, (p, &reg)| {
+                spec.with_owned_cells(p, vec![reg])
+            });
+        (mem, programs, spec)
+    }
+
+    /// A tiny deterministic generator for the state walks below.
+    fn xorshift(seed: &mut u64) -> u64 {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        *seed
+    }
+
+    /// Distinct states (by key) of `rounds` seeded random walks from the
+    /// root, through steps, branches and crashes, plus a random sleep
+    /// mask each.
+    fn walked_states(
+        mem: Memory,
+        programs: Vec<Box<dyn Program>>,
+        rounds: usize,
+    ) -> Vec<(SysState, u64)> {
+        let root = SysState::root(mem, programs);
+        let mut interner = ValueInterner::new();
+        let crashes = CrashedSet::new(&root, &mut interner);
+        let model = CrashModel::independent(2).after_decide(true);
+        let layout = KeyLayout::of(&root, false);
+        let mut seen = StateTable::new();
+        let mut states = Vec::new();
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..rounds {
+            let mut state = root.clone();
+            loop {
+                let key = layout.key_of(&state, |v| interner.intern(v));
+                if seen.insert(&key).1 {
+                    let sleep = xorshift(&mut seed) & ((1 << layout.n) - 1);
+                    states.push((state.clone(), sleep));
+                }
+                let actions = state.enabled_actions(&model);
+                if actions.is_empty() {
+                    break;
+                }
+                let action = actions[xorshift(&mut seed) as usize % actions.len()];
+                let delta = step_delta(&state, action);
+                state = materialize(&state, action, delta, &mut FixedCrashes(&crashes));
+            }
+        }
+        states
+    }
+
+    /// Every permutation of `0..n`.
+    fn all_perms(n: usize) -> Vec<Box<[u8]>> {
+        if n == 0 {
+            return vec![Box::from([])];
+        }
+        let mut out = Vec::new();
+        for shorter in all_perms(n - 1) {
+            for at in 0..n {
+                let mut perm = shorter.to_vec();
+                perm.insert(at, (n - 1) as u8);
+                out.push(perm.into_boxed_slice());
+            }
+        }
+        out
+    }
+
+    /// `permute_key` and `permute_state` are one move: for every walked
+    /// state, sleep mask and orbit permutation, permuting the key equals
+    /// keying the permuted state — program slots, owned and family
+    /// cells, decided and sleep words alike.
+    fn check_permute_key_matches_state(
+        (mem, programs, spec): (Memory, Vec<Box<dyn Program>>, SymmetrySpec),
+    ) -> usize {
+        let states = walked_states(mem, programs, 40);
+        let mut interner = ValueInterner::new();
+        let perms = all_perms(spec.n());
+        for (state, sleep) in &states {
+            let layout = KeyLayout::of(state, true);
+            let mut base = layout.key_of(state, |v| interner.intern(v));
+            layout.write_sleep(&mut base, *sleep);
+            for perm in &perms {
+                let mut key = base.clone();
+                permute_key(&mut key, perm, &layout, &spec);
+                let mut permuted = state.clone();
+                permute_state(&mut permuted, perm, &layout, &spec);
+                let mut expected = layout.key_of(&permuted, |v| interner.intern(v));
+                layout.write_sleep(&mut expected, permute_mask(*sleep, perm));
+                assert_eq!(key, expected, "perm {perm:?}");
+            }
+        }
+        states.len()
+    }
+
+    #[test]
+    fn permute_key_matches_permute_state_on_owned_cells() {
+        let states = check_permute_key_matches_state(owned_reg_system(4));
+        assert!(states > 20, "the walks must reach varied states: {states}");
+    }
+
+    #[test]
+    fn permute_key_matches_permute_state_on_scalarset_families() {
+        let states = check_permute_key_matches_state(set_sum_system(3));
+        assert!(states > 20, "the walks must reach varied states: {states}");
+    }
+
+    /// The key-based comparator picks the structural representative: on
+    /// every walked state, the permutation chosen from the interned key
+    /// equals `canonical_perm_with` over state keys and cell values
+    /// (`structural_perm`), and the permuted state passes the debug
+    /// checks.
+    #[test]
+    fn key_comparator_matches_structural_signature() {
+        for (mem, programs, spec) in [owned_reg_system(4), set_sum_system(3)] {
+            let scalarsets = spec.has_moving_scalarsets();
+            let mut interner = ValueInterner::new();
+            for (state, sleep) in walked_states(mem, programs, 40) {
+                if scalarsets && state.programs.iter().any(|p| p.scalarset_pinned()) {
+                    continue;
+                }
+                let layout = KeyLayout::of(&state, true);
+                let mut key = layout.key_of(&state, |v| interner.intern(v));
+                layout.write_sleep(&mut key, sleep);
+                let by_key = canonical_perm_of_key(&key, &layout, &spec, |id| interner.value(id));
+                assert_eq!(by_key, structural_perm(&state, sleep, &spec));
+                let mut state = state;
+                let perm = canonicalize_key(
+                    Some(&spec),
+                    || false,
+                    &mut key,
+                    &layout,
+                    |id| interner.value(id),
+                );
+                assert_eq!(perm, by_key);
+                if let Some(perm) = &perm {
+                    permute_state(&mut state, perm, &layout, &spec);
+                }
+                let sleep = perm
+                    .as_deref()
+                    .map_or(sleep, |perm| permute_mask(sleep, perm));
+                debug_assert_keyed(&state, &key, sleep, &layout, Some(&spec), |v| {
+                    interner.intern(v)
+                });
+            }
+        }
+    }
+
+    /// A scalarset-pinned child stays as it is: its key is not permuted,
+    /// even where the unpinned order would move it.
+    #[test]
+    fn pinned_scalarset_child_keeps_the_identity() {
+        let (mem, programs, spec) = set_sum_system(3);
+        let root = SysState::root(mem, programs);
+        let mut interner = ValueInterner::new();
+        let crashes = CrashedSet::new(&root, &mut interner);
+        let layout = KeyLayout::of(&root, false);
+        // p2 writes, then p0 writes and checks position 1: p0 is mid-scan.
+        let mut state = root;
+        for action in [Action::Step(2), Action::Step(0)] {
+            let delta = step_delta(&state, action);
+            state = materialize(&state, action, delta, &mut FixedCrashes(&crashes));
+        }
+        let key = layout.key_of(&state, |v| interner.intern(v));
+        let action = Action::Branch(0, 1);
+        let delta = step_delta(&state, action);
+        assert!(child_pinned(&state, action, &delta, &crashes));
+        let mut child_key = Vec::new();
+        patch_child_key(
+            &state,
+            &key,
+            action,
+            &delta,
+            0,
+            &layout,
+            &crashes,
+            None,
+            &mut child_key,
+            |key, pos, value| key[pos] = interner.intern(value),
+        )
+        .expect("no decision yet");
+        assert!(
+            canonical_perm_of_key(&child_key, &layout, &spec, |id| interner.value(id)).is_some(),
+            "unpinned, the child would move"
+        );
+        let before = child_key.clone();
+        let perm = canonicalize_key(
+            Some(&spec),
+            || child_pinned(&state, action, &delta, &crashes),
+            &mut child_key,
+            &layout,
+            |id| interner.value(id),
+        );
+        assert_eq!(perm, None);
+        assert_eq!(child_key, before);
     }
 }

@@ -134,6 +134,9 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 #[derive(Clone, Debug, Default)]
 pub struct ValueInterner {
     ids: FxHashMap<Value, u32>,
+    /// The reverse map: `values[id]` is the value interned as `id`
+    /// (see [`value`](Self::value)).
+    values: Vec<Value>,
     /// Approximate resident bytes of the interned values, accumulated
     /// at first sight (see [`approx_bytes`](Self::approx_bytes)).
     bytes: usize,
@@ -180,7 +183,32 @@ impl ValueInterner {
         assert!(id < Self::NONE, "interner overflow");
         self.bytes += approx_value_bytes(value) + StateTable::ENTRY_OVERHEAD;
         self.ids.insert(value.clone(), id);
+        self.values.push(value.clone());
         id
+    }
+
+    /// The value interned as `id` — the inverse of
+    /// [`intern`](Self::intern). The symmetry reduction orders processes
+    /// by their interned key slots and falls back to the values only
+    /// where two ids differ.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use rc_runtime::ValueInterner;
+    /// use rc_spec::Value;
+    ///
+    /// let mut interner = ValueInterner::new();
+    /// let v = Value::pair(Value::Int(3), Value::sym("A"));
+    /// let id = interner.intern(&v);
+    /// assert_eq!(interner.value(id), &v);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was never handed out by this interner.
+    pub fn value(&self, id: u32) -> &Value {
+        &self.values[id as usize]
     }
 
     /// Approximate resident bytes of the interned values (payloads +
@@ -501,6 +529,23 @@ mod tests {
         assert_eq!(table.len(), 3);
         assert_eq!(table.get(&[1, 2, 4]), Some(1));
         assert_eq!(table.get(&[9]), None);
+    }
+
+    #[test]
+    fn value_inverts_intern() {
+        let mut interner = ValueInterner::new();
+        let zoo = [
+            Value::Int(0),
+            Value::sym("A"),
+            Value::pair(Value::Int(1), Value::Bottom),
+            Value::List(vec![Value::Unit, Value::Bool(true)]),
+        ];
+        let ids: Vec<u32> = zoo.iter().map(|v| interner.intern(v)).collect();
+        for (id, v) in ids.iter().zip(&zoo) {
+            assert_eq!(interner.value(*id), v);
+            let back = interner.value(*id).clone();
+            assert_eq!(interner.intern(&back), *id, "round trip keeps the id");
+        }
     }
 
     #[test]

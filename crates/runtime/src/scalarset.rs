@@ -28,8 +28,8 @@
 //! 2. **Member exchange** — a bijection between the graphs of `i` and
 //!    `j` commuting with the full rename (family cells *and* owned
 //!    cells swapped), key-preserving on unpinned states: exactly the
-//!    shape [`canonicalize_child`](crate::explore) relies on when an
-//!    orbit permutation relocates the two programs.
+//!    shape the checker ([`crate::explore`]) relies on when an orbit
+//!    permutation relocates the two programs.
 //! 3. **Rebind fidelity** (dynamic) — for every local state of member
 //!    `i`, a rebound clone ([`Program::rebind`] with the pair's cell
 //!    swap) is re-executed and must step *identically* to member `j`'s
@@ -714,7 +714,7 @@ pub(crate) fn certify_scalarsets_cached(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::memory::MemOps;
     use crate::program::Step;
@@ -863,7 +863,9 @@ mod tests {
         }
     }
 
-    fn set_sum_system(n: usize) -> (Memory, Vec<Box<dyn Program>>, SymmetrySpec) {
+    /// `n` [`SetSum`] processes over one certified scalarset family (the
+    /// Fig. 4 scan shape; the checker's unit tests walk it too).
+    pub(crate) fn set_sum_system(n: usize) -> (Memory, Vec<Box<dyn Program>>, SymmetrySpec) {
         let mut mem = Memory::new();
         let family: Vec<Addr> = (0..n).map(|_| mem.alloc_register(Value::Int(0))).collect();
         let programs: Vec<Box<dyn Program>> = (0..n)

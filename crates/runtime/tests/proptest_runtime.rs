@@ -530,8 +530,8 @@ proptest! {
     /// Full-state canonicalization — signatures enriched with owned-cell
     /// values, as the engine builds them for owned-cell orbits — is
     /// invariant under orbit permutations that move program payloads and
-    /// owned contents *together* (exactly what `canonicalize_child`
-    /// does). The slots-only invariance test above is the owned = ∅
+    /// owned contents *together* (exactly what the checker's
+    /// `permute_key`/`permute_state` do). The slots-only invariance test above is the owned = ∅
     /// special case.
     #[test]
     fn owned_cell_canonical_form_is_invariant_under_orbit_permutations(

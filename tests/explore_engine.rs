@@ -930,7 +930,7 @@ fn scalarset_on_off_equivalence_on_simultaneous_rc() {
     let factory = ConsensusObjectFactory { domain: 4 };
     // Mixed inputs: a two-process orbit beside a singleton — the family
     // permutes under the acting orbit only, which is the harder case
-    // for `canonicalize_child` (E17 measures the larger budget-1
+    // for key-first canonicalization (E17 measures the larger budget-1
     // instances in release mode).
     let inputs = vec![Value::Int(0), Value::Int(0), Value::Int(1)];
     let plain = || build_simultaneous_rc_system(&factory, &inputs, 4);
