@@ -19,7 +19,6 @@ use rc_runtime::sched::{RandomScheduler, RandomSchedulerConfig, RoundRobin};
 use rc_runtime::verify::check_consensus_execution;
 use rc_runtime::{
     explore, explore_with_stats, run, CrashModel, ExploreConfig, Memory, Program, RunOptions,
-    StorageTier,
 };
 use rc_spec::catalog::{catalog, ConsensusNumber};
 use rc_spec::random::{random_table_type, RandomTypeConfig};
@@ -825,9 +824,6 @@ pub struct E11Row {
     pub system: String,
     /// Crash budget of the (independent, post-decide) adversary.
     pub crash_budget: usize,
-    /// Engine: `"iterative"` (the serial worklist DFS) or `"parallel"`
-    /// (the sharded frontier engine).
-    pub engine: &'static str,
     /// `Verified` / `Truncated` (any violation would panic the sweep).
     pub verdict: String,
     /// Distinct states visited — the peak state count of the search.
@@ -838,14 +834,9 @@ pub struct E11Row {
     pub millis: f64,
     /// `states / seconds` (machine-dependent).
     pub states_per_sec: f64,
-    /// This row's states/sec over the iterative row of the same
-    /// configuration — the iterative-vs-sharded column (1.0 for the
-    /// iterative rows themselves).
-    pub vs_serial: f64,
 }
 
 fn e11_measure(
-    engine: &'static str,
     system: &str,
     budget: usize,
     factory: &rc_runtime::SystemFactory<'_>,
@@ -853,11 +844,7 @@ fn e11_measure(
 ) -> E11Row {
     use rc_runtime::ExploreOutcome;
     use std::time::{Duration, Instant};
-    let run_once = || match engine {
-        "iterative" => explore(factory, config),
-        "parallel" => rc_runtime::explore_parallel(factory, config),
-        other => panic!("unknown engine {other}"),
-    };
+    let run_once = || explore(factory, config);
     // Single runs of small instances are milliseconds — far below timer
     // noise. Repeat until a time floor is reached (minimum three runs,
     // first discarded as warm-up) and report the best run, the standard
@@ -887,26 +874,21 @@ fn e11_measure(
     E11Row {
         system: system.to_string(),
         crash_budget: budget,
-        engine,
         verdict,
         states,
         leaves,
         millis: best.as_secs_f64() * 1e3,
         states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        vs_serial: 1.0,
     }
 }
 
 /// E11: model-checker engine scaling — states/sec and peak state counts
-/// on the Fig. 2 team-RC workload (the E2 systems), `S_2..S_5` × crash
-/// budgets, the iterative serial DFS vs the sharded parallel frontier
-/// engine (the `vs serial` column is their states/sec ratio per
-/// configuration).
+/// of the serial DFS on the Fig. 2 team-RC workload (the E2 systems),
+/// `S_2..S_5` × crash budgets.
 ///
 /// The adversary matches E2: independent crashes, post-decide crashes
 /// enabled, validity inputs declared. State and leaf counts are
-/// deterministic and must agree across both engines; wall-clock figures
-/// are machine-dependent (`BENCH_explore.json` tracks them across PRs
+/// deterministic; wall-clock figures are machine-dependent (`BENCH_explore.json` tracks them across PRs
 /// on the reference machine — the seed recursive engine's last recorded
 /// baseline lives in EXPERIMENTS.md §E11 and the git history of that
 /// file, the engine itself is deleted).
@@ -923,7 +905,6 @@ pub fn e11_explore_scaling(fast: bool) -> (String, Vec<E11Row>) {
             (5, &[0, 1]),
         ]
     };
-    let threads = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
     let mut rows = Vec::new();
     for &(n, budgets) in sweep {
         let (ty, w) = sn_witness(n);
@@ -936,76 +917,33 @@ pub fn e11_explore_scaling(fast: bool) -> (String, Vec<E11Row>) {
                 inputs: Some(inputs.clone()),
                 ..ExploreConfig::default()
             };
-            let serial = e11_measure("iterative", &system, budget, &factory, &config);
-            let mut parallel = e11_measure(
-                "parallel",
-                &system,
-                budget,
-                &factory,
-                &ExploreConfig {
-                    threads,
-                    ..config.clone()
-                },
-            );
-            assert_eq!(serial.verdict, parallel.verdict, "engines must agree");
-            assert_eq!(serial.states, parallel.states, "engines must agree");
-            assert_eq!(serial.leaves, parallel.leaves, "engines must agree");
-            parallel.vs_serial = parallel.states_per_sec / serial.states_per_sec.max(1e-9);
-            rows.push(serial);
-            rows.push(parallel);
+            rows.push(e11_measure(&system, budget, &factory, &config));
         }
     }
     let mut t = Table::new(&[
         "system",
         "crash budget",
-        "engine",
         "verdict",
         "states",
         "leaves",
         "ms",
         "states/sec",
-        "vs serial",
     ]);
     for r in &rows {
         t.row(&[
             r.system.clone(),
             r.crash_budget.to_string(),
-            r.engine.to_string(),
             r.verdict.clone(),
             r.states.to_string(),
             r.leaves.to_string(),
             format!("{:.1}", r.millis),
             format!("{:.0}", r.states_per_sec),
-            format!("{:.2}×", r.vs_serial),
         ]);
     }
-    // The headline ratio: sharded vs serial on the largest instance of
-    // the sweep — the configuration the ROADMAP item names (S_5, crash
-    // budget ≥ 1) when the full sweep runs.
-    let speedup = {
-        let pick = |system: &str, budget: usize| {
-            rows.iter()
-                .find(|r| r.system == system && r.crash_budget == budget && r.engine == "parallel")
-                .map(|r| r.vs_serial)
-        };
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        match pick("S_5", 1).or_else(|| pick("S_4", 1)) {
-            Some(ratio) => format!(
-                "sharded-dedup frontier at {ratio:.2}× the serial engine's states/sec on \
-                 the largest swept instance ({threads} threads, {cores} hardware core(s); \
-                 on a single core the engine runs its fused single-worker configuration, \
-                 so this ratio is the coordination-free BFS-vs-DFS floor — the \
-                 pre-sharding frontier recorded 0.17× on S_5/budget-1, see the \
-                 BENCH_explore.json history)"
-            ),
-            None => "n/a (no parallel rows in sweep)".to_string(),
-        }
-    };
     let report = format!(
         "E11 — model-checker engine scaling (Fig. 2 team-RC workload, \
-         independent crashes, post-decide enabled):\n{}\n{speedup}; \
-         states/leaves are deterministic and identical across engines \
-         (asserted), wall-clock is machine-dependent.\n",
+         independent crashes, post-decide enabled):\n{}\nstates/leaves \
+         are deterministic, wall-clock is machine-dependent.\n",
         t.render()
     );
     (report, rows)
@@ -1579,7 +1517,7 @@ fn e15_measure(
 /// and asserts the invariants every reduced mode must satisfy — when
 /// the off side verified, every reduced row verifies with the same
 /// weighted leaf count. State counts are *not* monotone under POR: the
-/// sleep mask is part of node identity (that is what keeps the engines
+/// sleep mask is part of node identity (that is what keeps the search
 /// deterministic), so a state re-reached along paths with incomparable
 /// sleep sets splits into several entries, and the sweep honestly
 /// records the configurations where that cost outweighs the pruning
@@ -1628,7 +1566,7 @@ fn e15_finish(off: E15Row, mut reduced: Vec<E15Row>) -> Vec<E15Row> {
 /// budget-1 rows, whose single all-reset crash child per pre-crash
 /// state keeps the post-crash entry points few. The *independent*
 /// budget-1 rows are recorded as the honest negative: sleep masks are
-/// part of node identity (what keeps the engines deterministic), so the
+/// part of node identity (what keeps the search deterministic), so the
 /// many single-process crash children re-reach post-crash states along
 /// paths with incomparable sleep sets and the splitting outweighs the
 /// pruning. Verified reduced rows are asserted to match the off rows'
@@ -1874,7 +1812,7 @@ pub fn e15_por_reduction(fast: bool) -> (String, Vec<E15Row>) {
     (report, rows)
 }
 
-/// One row of the E16 storage-tier scaling sweep.
+/// One row of the E16 storage scaling sweep.
 #[derive(Clone, Debug)]
 pub struct E16Row {
     /// System under check: `"S_n"` (Fig. 2 team-RC, as in E11/E12) or
@@ -1882,26 +1820,24 @@ pub struct E16Row {
     pub system: String,
     /// Independent crash budget (post-decide crashes enabled).
     pub crash_budget: usize,
-    /// Visited-set backend: `flat`, `packed`, `packed+filter` or
-    /// `packed+spill` ([`rc_runtime::StorageTier`]). The `flat`
-    /// baseline row runs at the catalog's historical cap and re-records
-    /// its `Truncated` verdict.
-    pub tier: String,
-    /// `"unreduced"` (the plain engines, the tier-parity grid) or
-    /// `"por+rebind"` (both reducers composed on the masked instance —
-    /// the storage tiers must stay exact under the reduced search too).
+    /// Visited-set layout: `packed` (the table held in RAM) or
+    /// `packed+spill` (`ExploreConfig::spill_threshold` set, resident
+    /// entries frozen into on-disk runs). The baseline row runs at the
+    /// catalog's historical cap and re-records its `Truncated` verdict.
+    pub tier: &'static str,
+    /// `"unreduced"` (the plain search, the resident/spill parity grid)
+    /// or `"por+rebind"` (both reducers composed on the masked instance
+    /// — spilling must stay exact under the reduced search too).
     pub mode: &'static str,
-    /// `ExploreConfig::threads` (1 = serial DFS, >1 = frontier BFS).
-    pub threads: usize,
     /// The `max_states` cap the row ran under.
     pub max_states: usize,
-    /// The `max_bytes` cap (0 = uncapped). Byte-capped rows route
-    /// through the frontier engine's deterministic byte budget.
+    /// The `max_bytes` cap (0 = uncapped), charged in the search's
+    /// acceptance order.
     pub max_bytes: usize,
     /// `Verified` / `Truncated` (a violation would panic the sweep).
     pub verdict: String,
-    /// Distinct states visited — asserted identical across every tier
-    /// and thread count of an instance's lifted-cap rows.
+    /// Distinct states visited — asserted identical across an
+    /// instance's lifted-cap rows.
     pub states: usize,
     /// Weighted executions enumerated — asserted identical across the
     /// lifted-cap rows *and* against the catalog's reduced-engine
@@ -1914,10 +1850,8 @@ pub struct E16Row {
     pub states_per_sec: f64,
     /// Peak resident visited-set MiB ([`rc_runtime::ExploreStats::peak_table_bytes`]).
     pub peak_table_mb: f64,
-    /// MiB frozen into on-disk spill runs (0 without the spill tier).
+    /// MiB frozen into on-disk spill runs (0 without spilling).
     pub spilled_mb: f64,
-    /// Bloom prefilter bits set (0 without the filter tier).
-    pub filter_bits: usize,
     /// MiB held by the compacted witness log.
     pub witness_mb: f64,
 }
@@ -1944,9 +1878,12 @@ fn e16_measure(
     E16Row {
         system: system.to_string(),
         crash_budget: budget,
-        tier: config.storage.to_string(),
+        tier: if config.spill_threshold.is_some() {
+            "packed+spill"
+        } else {
+            "packed"
+        },
         mode: "unreduced",
-        threads: config.threads,
         max_states: config.max_states,
         max_bytes: config.max_bytes.unwrap_or(0),
         verdict,
@@ -1956,34 +1893,34 @@ fn e16_measure(
         states_per_sec: states as f64 / elapsed.as_secs_f64().max(1e-9),
         peak_table_mb: stats.peak_table_bytes as f64 / MB,
         spilled_mb: stats.spilled_bytes as f64 / MB,
-        filter_bits: stats.filter_occupancy,
         witness_mb: stats.witness_bytes as f64 / MB,
     }
 }
 
-/// E16: tiered, bit-packed state storage — the catalog instances the
-/// default cap recorded as `Truncated` (E12's `S_8`/budget-0 off row,
-/// E13's masked `S_7`/budget-0 off row), re-run **unreduced** with the
-/// cap lifted under every storage tier
-/// ([`ExploreConfig::storage`](rc_runtime::ExploreConfig)) at threads
-/// 1/2/8. Each instance records:
+/// E16: bit-packed state storage with optional spilling — the catalog
+/// instances the default cap recorded as `Truncated` (E12's
+/// `S_8`/budget-0 off row, E13's masked `S_7`/budget-0 off row), re-run
+/// **unreduced** with the cap lifted, with the packed visited set held
+/// in RAM and spilling to disk
+/// ([`ExploreConfig::spill_threshold`](rc_runtime::ExploreConfig)).
+/// Each instance records:
 ///
-/// * a `flat` **baseline** row at the historical 5M cap, re-recording
-///   the catalog's `Truncated` verdict (asserted);
-/// * a **lifted-cap grid** — 4 tiers × threads {1, 2, 8} — every row
+/// * a **baseline** row at the historical 5M cap, re-recording the
+///   catalog's `Truncated` verdict (asserted);
+/// * a **lifted-cap grid** — `packed` and `packed+spill` — every row
 ///   asserted `Verified` with byte-identical state and weighted-leaf
 ///   counts, and the leaf count asserted equal to what the catalog's
-///   *reduced* engines (rebind / symmetry-on) computed for the same
+///   *reduced* searches (rebind / symmetry-on) computed for the same
 ///   instance: the full unreduced search independently confirms the
 ///   reduction machinery's answer;
 /// * one **byte-capped** row (`ExploreConfig::max_bytes` generous
-///   enough to verify) exercising the frontier engine's deterministic
-///   byte budget at scale, asserted identical to the grid.
+///   enough to verify) exercising the deterministic byte budget at
+///   scale, asserted identical to the grid.
 ///
-/// Exactness is the point: the filter tier can only *skip* probes that
-/// would have found nothing and the spill tier compares full key bytes
-/// on disk, so — unlike bitstate/supertrace hashing — every tier
-/// returns the same exact verdict (see DESIGN §3).
+/// Exactness is the point: spill runs compare full key bytes on disk
+/// (their Blooms only skip runs that cannot hold a key), so — unlike
+/// bitstate/supertrace hashing — spilling returns the same exact
+/// verdict (see DESIGN §3).
 pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
     struct Instance {
         n: usize,
@@ -2036,9 +1973,8 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
             },
         ]
     };
-    // Small enough that every lifted-cap spill row freezes runs even
-    // split across 8 shards; run probes stay cheap behind the per-run
-    // Blooms.
+    // Small enough that every lifted-cap spill row freezes runs; run
+    // probes stay cheap behind the per-run Blooms.
     let spill_threshold: usize = if fast { 4 << 10 } else { 8 << 20 };
     let byte_cap: usize = if fast { 256 << 20 } else { 8 << 30 };
     let mut rows: Vec<E16Row> = Vec::new();
@@ -2064,10 +2000,6 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
         };
         let baseline_cfg = ExploreConfig {
             max_states: inst.baseline_cap,
-            // The historical baseline ran on the flat table; it is the
-            // opt-out now that `ExploreConfig::storage` defaults to
-            // packed, so the row pins it explicitly.
-            storage: StorageTier::Flat,
             ..base.clone()
         };
         let baseline = e16_measure(&system, inst.budget, &baseline_cfg, &|| {
@@ -2085,67 +2017,54 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
         );
         rows.push(baseline);
         let mut reference: Option<(usize, usize)> = None;
-        for tier in StorageTier::ALL {
-            for threads in [1usize, 2, 8] {
-                let cfg = ExploreConfig {
-                    max_states: inst.lifted_cap,
-                    storage: tier,
-                    threads,
-                    spill_threshold: (tier == StorageTier::PackedSpill).then_some(spill_threshold),
-                    ..base.clone()
-                };
-                let row = e16_measure(&system, inst.budget, &cfg, &|| {
-                    explore_with_stats(&factory, &cfg)
-                });
+        for spill in [None, Some(spill_threshold)] {
+            let cfg = ExploreConfig {
+                max_states: inst.lifted_cap,
+                spill_threshold: spill,
+                ..base.clone()
+            };
+            let row = e16_measure(&system, inst.budget, &cfg, &|| {
+                explore_with_stats(&factory, &cfg)
+            });
+            let tier = row.tier;
+            assert_eq!(
+                row.verdict, "Verified",
+                "{system}/{}: the lifted cap must verify exactly under {tier}",
+                inst.budget
+            );
+            assert!(
+                row.states > inst.baseline_cap,
+                "{system}/{}: the instance must really exceed the baseline cap",
+                inst.budget
+            );
+            if let Some(expected) = inst.expected_leaves {
                 assert_eq!(
-                    row.verdict, "Verified",
-                    "{system}/{}: the lifted cap must verify exactly under {tier}/t{threads}",
+                    row.leaves, expected,
+                    "{system}/{}: the unreduced search must reproduce the catalog's \
+                     reduced-search weighted leaf count",
                     inst.budget
                 );
-                assert!(
-                    row.states > inst.baseline_cap,
-                    "{system}/{}: the instance must really exceed the baseline cap",
-                    inst.budget
-                );
-                if let Some(expected) = inst.expected_leaves {
-                    assert_eq!(
-                        row.leaves, expected,
-                        "{system}/{}: the unreduced search must reproduce the catalog's \
-                         reduced-engine weighted leaf count",
-                        inst.budget
-                    );
-                }
-                match reference {
-                    None => reference = Some((row.states, row.leaves)),
-                    Some(r) => assert_eq!(
-                        (row.states, row.leaves),
-                        r,
-                        "{system}/{}: byte-identical outcomes across tiers and threads \
-                         ({tier}/t{threads})",
-                        inst.budget
-                    ),
-                }
-                if tier == StorageTier::PackedSpill {
-                    assert!(
-                        row.spilled_mb > 0.0,
-                        "{system}/{}: the spill row at t{threads} must freeze runs",
-                        inst.budget
-                    );
-                }
-                if tier == StorageTier::PackedFilter {
-                    assert!(
-                        row.filter_bits > 0,
-                        "{system}/{}: the filter row at t{threads} must populate the Bloom",
-                        inst.budget
-                    );
-                }
-                rows.push(row);
             }
+            match reference {
+                None => reference = Some((row.states, row.leaves)),
+                Some(r) => assert_eq!(
+                    (row.states, row.leaves),
+                    r,
+                    "{system}/{}: byte-identical outcomes with and without spilling",
+                    inst.budget
+                ),
+            }
+            if spill.is_some() {
+                assert!(
+                    row.spilled_mb > 0.0,
+                    "{system}/{}: the spill row must freeze runs",
+                    inst.budget
+                );
+            }
+            rows.push(row);
         }
         let byte_cfg = ExploreConfig {
             max_states: inst.lifted_cap,
-            storage: StorageTier::PackedSpill,
-            threads: 1,
             spill_threshold: Some(spill_threshold),
             max_bytes: Some(byte_cap),
             ..base.clone()
@@ -2165,73 +2084,68 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
         );
         rows.push(byte_row);
         if inst.masked {
-            // The composed reducers (por+rebind, as in E15) on top of
-            // the packed and spill tiers: the storage layer must stay
-            // exact under the reduced search too — byte-identical
-            // canonical state counts across tiers and threads, and the
-            // same weighted leaf count as the unreduced grid.
+            // The composed reducers (por+rebind, as in E15), resident
+            // and spilling: the storage layer must stay exact under the
+            // reduced search too — byte-identical canonical state counts
+            // with and without spilling, and the same weighted leaf
+            // count as the unreduced grid.
             let mut reduced_ref: Option<(usize, usize)> = None;
-            for tier in [StorageTier::Packed, StorageTier::PackedSpill] {
-                for threads in [1usize, 8] {
-                    let cfg = ExploreConfig {
-                        max_states: inst.lifted_cap,
-                        storage: tier,
-                        threads,
-                        spill_threshold: (tier == StorageTier::PackedSpill)
-                            .then_some(spill_threshold),
-                        por: true,
-                        analysis_id: Some(format!("bench/e16/masked-S_{}", inst.n)),
-                        ..base.clone()
-                    };
-                    let mut row = e16_measure(&system, inst.budget, &cfg, &|| {
-                        rc_runtime::explore_symmetric_with_stats(
-                            &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                            &cfg,
-                        )
-                    });
-                    row.mode = "por+rebind";
-                    assert_eq!(
-                        row.verdict, "Verified",
-                        "{system}/{}: the reduced run must verify under {tier}/t{threads}",
+            for spill in [None, Some(spill_threshold)] {
+                let cfg = ExploreConfig {
+                    max_states: inst.lifted_cap,
+                    spill_threshold: spill,
+                    por: true,
+                    analysis_id: Some(format!("bench/e16/masked-S_{}", inst.n)),
+                    ..base.clone()
+                };
+                let mut row = e16_measure(&system, inst.budget, &cfg, &|| {
+                    rc_runtime::explore_symmetric_with_stats(
+                        &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
+                        &cfg,
+                    )
+                });
+                row.mode = "por+rebind";
+                let tier = row.tier;
+                assert_eq!(
+                    row.verdict, "Verified",
+                    "{system}/{}: the reduced run must verify under {tier}",
+                    inst.budget
+                );
+                assert_eq!(
+                    row.leaves,
+                    reference.expect("grid ran").1,
+                    "{system}/{}: reduced weighted leaves must match the unreduced grid",
+                    inst.budget
+                );
+                assert!(
+                    row.states < reference.expect("grid ran").0,
+                    "{system}/{}: por+rebind must visit fewer states than unreduced",
+                    inst.budget
+                );
+                match reduced_ref {
+                    None => reduced_ref = Some((row.states, row.leaves)),
+                    Some(r) => assert_eq!(
+                        (row.states, row.leaves),
+                        r,
+                        "{system}/{}: reduced outcomes byte-identical with and \
+                         without spilling",
                         inst.budget
-                    );
-                    assert_eq!(
-                        row.leaves,
-                        reference.expect("grid ran").1,
-                        "{system}/{}: reduced weighted leaves must match the unreduced grid",
-                        inst.budget
-                    );
-                    assert!(
-                        row.states < reference.expect("grid ran").0,
-                        "{system}/{}: por+rebind must visit fewer states than unreduced",
-                        inst.budget
-                    );
-                    match reduced_ref {
-                        None => reduced_ref = Some((row.states, row.leaves)),
-                        Some(r) => assert_eq!(
-                            (row.states, row.leaves),
-                            r,
-                            "{system}/{}: reduced outcomes byte-identical across \
-                             tiers and threads ({tier}/t{threads})",
-                            inst.budget
-                        ),
-                    }
-                    rows.push(row);
+                    ),
                 }
+                rows.push(row);
             }
         }
     }
     let mut t = Table::new(&[
-        "system", "budget", "tier", "mode", "threads", "cap", "byte cap", "verdict", "states",
-        "leaves", "ms", "peak MB", "spill MB", "filter", "wit MB",
+        "system", "budget", "tier", "mode", "cap", "byte cap", "verdict", "states", "leaves", "ms",
+        "peak MB", "spill MB", "wit MB",
     ]);
     for r in &rows {
         t.row(&[
             r.system.clone(),
             r.crash_budget.to_string(),
-            r.tier.clone(),
+            r.tier.to_string(),
             r.mode.to_string(),
-            r.threads.to_string(),
             r.max_states.to_string(),
             if r.max_bytes == 0 {
                 "—".into()
@@ -2244,7 +2158,6 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
             format!("{:.0}", r.millis),
             format!("{:.1}", r.peak_table_mb),
             format!("{:.1}", r.spilled_mb),
-            r.filter_bits.to_string(),
             format!("{:.1}", r.witness_mb),
         ]);
     }
@@ -2253,16 +2166,12 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
         .filter(|r| r.verdict == "Verified")
         .max_by_key(|r| r.states)
         .expect("grid rows exist");
-    let flat_peak = rows
-        .iter()
-        .filter(|r| r.tier == "flat" && r.verdict == "Verified" && r.threads == 1)
-        .map(|r| r.peak_table_mb)
-        .fold(0.0f64, f64::max);
-    let packed_peak = rows
-        .iter()
-        .filter(|r| r.tier == "packed" && r.verdict == "Verified" && r.threads == 1)
-        .map(|r| r.peak_table_mb)
-        .fold(0.0f64, f64::max);
+    let peak_of = |tier: &str| {
+        rows.iter()
+            .filter(|r| r.tier == tier && r.mode == "unreduced" && r.verdict == "Verified")
+            .map(|r| r.peak_table_mb)
+            .fold(0.0f64, f64::max)
+    };
     let cap_note = if fast {
         "(fast mode shrinks both caps; the full sweep lifts the real 5M \
          catalog cap on masked S_7 and S_8)"
@@ -2272,31 +2181,28 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
          exact Verified"
     };
     let report = format!(
-        "E16 — tiered, bit-packed state storage (packed arena keys, \
-         Bloom prefilter, file-backed spill runs, byte budget): \
-         previously-Truncated catalog instances re-run unreduced with \
-         the cap lifted, across every storage tier at threads 1/2/8:\n{}\n\
+        "E16 — bit-packed state storage (packed arena keys, file-backed \
+         spill runs, byte budget): previously-Truncated catalog instances \
+         re-run unreduced with the cap lifted, resident and spilling:\n{}\n\
          largest exact search: {} states ({}/budget-{}); outcomes \
-         byte-identical across all tiers and thread counts, weighted \
-         leaf counts equal to the catalog's reduced-engine records, and \
-         the byte-budgeted run matches the grid (all asserted). Peak \
-         resident visited-set on the largest serial run: {:.0} MB flat \
-         vs {:.0} MB packed. Spill rows freeze resident arenas to disk \
+         byte-identical with and without spilling, weighted leaf counts \
+         equal to the catalog's reduced-search records, and the \
+         byte-budgeted run matches the grid (all asserted). Peak \
+         resident visited-set on the largest run: {:.0} MB packed vs \
+         {:.0} MB spilling. Spill rows freeze resident arenas to disk \
          behind per-run Blooms and stay exact — full key bytes are \
          compared on disk, never hash fingerprints alone. The masked \
          instance additionally re-runs with both reducers composed \
-         (por+rebind, as in E15) on the packed and spill tiers: the \
-         reduced search's canonical state counts are byte-identical \
-         across tiers and threads and its weighted leaves match the \
-         unreduced grid (asserted) — the packed default \
-         (`ExploreConfig::storage`) rests on this parity. Also \
-         {cap_note}.\n",
+         (por+rebind, as in E15), resident and spilling: the reduced \
+         search's canonical state counts are byte-identical either way \
+         and its weighted leaves match the unreduced grid (asserted). \
+         Also {cap_note}.\n",
         t.render(),
         largest.states,
         largest.system,
         largest.crash_budget,
-        flat_peak,
-        packed_peak,
+        peak_of("packed"),
+        peak_of("packed+spill"),
     );
     (report, rows)
 }
@@ -2312,17 +2218,14 @@ pub struct E17Row {
     pub crash_budget: usize,
     /// The `max_states` cap the row ran under.
     pub max_states: usize,
-    /// `"off"` (plain engines), `"scalarset"` (the certified scalarset
+    /// `"off"` (the plain search), `"scalarset"` (the certified scalarset
     /// family permutes with the process orbits) or `"scalarset+por"`
     /// (composed with partial-order reduction).
     pub mode: &'static str,
-    /// `ExploreConfig::threads` (1 = serial DFS, >1 = frontier BFS).
-    pub threads: usize,
     /// `Verified` / `Truncated` (a violation would panic the sweep).
     pub verdict: String,
     /// Distinct states visited (canonical representatives under the
-    /// scalarset modes) — asserted byte-identical across thread counts
-    /// within each mode.
+    /// scalarset modes).
     pub states: usize,
     /// Weighted executions enumerated; Verified reduced rows must match
     /// the off rows exactly (asserted).
@@ -2331,7 +2234,7 @@ pub struct E17Row {
     pub millis: f64,
     /// `states / seconds` (machine-dependent).
     pub states_per_sec: f64,
-    /// `states(off) / states(this row)` at the same thread count.
+    /// `states(off) / states(this row)`.
     pub reduction: f64,
 }
 
@@ -2339,7 +2242,6 @@ fn e17_measure(
     system: &str,
     budget: usize,
     mode: &'static str,
-    threads: usize,
     config: &ExploreConfig,
     run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
 ) -> E17Row {
@@ -2349,7 +2251,6 @@ fn e17_measure(
         crash_budget: budget,
         max_states: config.max_states,
         mode,
-        threads,
         verdict,
         states,
         leaves,
@@ -2369,15 +2270,14 @@ fn e17_measure(
 /// scalarset certifier ([`rc_runtime::lint_scalarset`]) proves every
 /// family transposition leaves the memoized local-state graphs
 /// equivariant — bystander graph matching, member exchange, rebind
-/// fidelity, spot re-executions — and only then do the engines permute
+/// fidelity, spot re-executions — and only then does the search permute
 /// the family with the process slots (mid-scan *pinned* states forgo
 /// reduction; decided states are never pinned, so leaf weights stay
 /// exact).
 ///
-/// Three modes per instance — off / scalarset / scalarset+por — each at
-/// threads 1/2/8. Asserted: byte-identical state and weighted-leaf
-/// counts across thread counts within every mode; Verified reduced rows
-/// match the off rows' weighted leaf counts exactly; the scalarset mode
+/// Three modes per instance — off / scalarset / scalarset+por.
+/// Asserted: Verified reduced rows match the off rows' weighted leaf
+/// counts exactly; the scalarset mode
 /// strictly reduces (Fig. 4 leaves 1.0× behind); and scalarset+por
 /// strictly beats scalarset alone wherever POR alone reduced (E15's
 /// 2.1× composes).
@@ -2431,49 +2331,26 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
             ("scalarset", &base, true),
             ("scalarset+por", &por_cfg, true),
         ] {
-            let mut mode_ref: Option<(usize, usize)> = None;
-            for threads in [1usize, 2, 8] {
-                let cfg = ExploreConfig {
-                    threads,
-                    ..cfg.clone()
-                };
-                let row = e17_measure(&system, inst.budget, mode, threads, &cfg, &|| {
-                    if symmetric {
-                        rc_runtime::explore_symmetric(
-                            &|| {
-                                build_simultaneous_rc_system_sym(
-                                    &factory,
-                                    &inst.inputs,
-                                    inst.horizon,
-                                )
-                            },
-                            &cfg,
-                        )
-                    } else {
-                        explore(
-                            &|| build_simultaneous_rc_system(&factory, &inst.inputs, inst.horizon),
-                            &cfg,
-                        )
-                    }
-                });
-                assert_eq!(
-                    row.verdict, "Verified",
-                    "{system}/{}: every E17 row must verify ({mode}/t{threads})",
-                    inst.budget
-                );
-                match mode_ref {
-                    None => mode_ref = Some((row.states, row.leaves)),
-                    Some(r) => assert_eq!(
-                        (row.states, row.leaves),
-                        r,
-                        "{system}/{}: byte-identical serial/parallel outcomes \
-                         ({mode}/t{threads})",
-                        inst.budget
-                    ),
+            let row = e17_measure(&system, inst.budget, mode, cfg, &|| {
+                if symmetric {
+                    rc_runtime::explore_symmetric(
+                        &|| build_simultaneous_rc_system_sym(&factory, &inst.inputs, inst.horizon),
+                        cfg,
+                    )
+                } else {
+                    explore(
+                        &|| build_simultaneous_rc_system(&factory, &inst.inputs, inst.horizon),
+                        cfg,
+                    )
                 }
-                rows.push(row);
-            }
-            per_mode.push(mode_ref.expect("three thread counts ran"));
+            });
+            assert_eq!(
+                row.verdict, "Verified",
+                "{system}/{}: every E17 row must verify ({mode})",
+                inst.budget
+            );
+            per_mode.push((row.states, row.leaves));
+            rows.push(row);
         }
         let (off, scal, both) = (per_mode[0], per_mode[1], per_mode[2]);
         assert_eq!(
@@ -2515,7 +2392,6 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
         "crash budget",
         "cap",
         "mode",
-        "threads",
         "verdict",
         "states",
         "leaves",
@@ -2529,7 +2405,6 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
             r.crash_budget.to_string(),
             r.max_states.to_string(),
             r.mode.to_string(),
-            r.threads.to_string(),
             r.verdict.clone(),
             r.states.to_string(),
             r.leaves.to_string(),
@@ -2544,7 +2419,7 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
     }
     let headline = rows
         .iter()
-        .filter(|r| r.mode == "scalarset+por" && r.threads == 1)
+        .filter(|r| r.mode == "scalarset+por")
         .map(|r| (r.reduction, r.system.clone(), r.crash_budget))
         .fold((0.0f64, String::new(), 0usize), |acc, x| {
             if x.0 > acc.0 {
@@ -2564,8 +2439,7 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
          slots — mid-scan pinned states forgo reduction, decided states \
          are never pinned, so weights stay exact:\n{}\n\
          largest composed reduction: {:.1}× on {}/budget-{}; all rows \
-         Verified, byte-identical across threads 1/2/8 within every \
-         mode, reduced weighted leaf counts equal to off, scalarset \
+         Verified, reduced weighted leaf counts equal to off, scalarset \
          strictly below off, and scalarset+por strictly below scalarset \
          (all asserted) — the reducers compound on the system E13/E15 \
          recorded at 1.0× under owned-cell symmetry.\n",
@@ -2763,12 +2637,16 @@ pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
 /// Renders the E11 + E12 + E13 + E15 + E16 + E17 + E18 rows as the
 /// `BENCH_explore.json` snapshot: a stable, diff-friendly record of the
 /// engine trajectory across PRs. The host core count is recorded so
-/// trajectory points from different machines stay comparable (the fused
-/// single-worker floor on a 1-core box is not a parallel win) — the CI
-/// `bench-record` job regenerates the snapshot on a multi-core runner
-/// and uploads it as an artifact.
+/// trajectory points from different machines stay comparable (the swarm
+/// rows scale with cores) — the CI `bench-record` job regenerates the
+/// snapshot on a multi-core runner and uploads it as an artifact.
 ///
-/// Schema migration: version 5 adds `e18_rows` (the swarm-verification
+/// Schema migration: version 6 drops the removed parallel engine's and
+/// storage tiers' fields — `engine` and `vs_serial` from `e11_rows`,
+/// `threads` and `filter_bits` from `e16_rows`, `threads` from
+/// `e17_rows` — along with the rows that only existed to compare them;
+/// a reader of version 5 must treat those fields as optional. Version 5
+/// adds `e18_rows` (the swarm-verification
 /// sweep; `first_violating_seed`, `original_len` and `min_witness` are
 /// `null` on clean rows) and requires `e18` in the regenerate command;
 /// version 4 added `e17_rows` (the scalarset-symmetry sweep) and a
@@ -2789,31 +2667,29 @@ pub fn snapshot_json(
 ) -> String {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 5,\n");
+    out.push_str("  \"schema\": 6,\n");
     out.push_str(
         "  \"regenerate\": \"cargo run -p rc-bench --release --bin tables -- e11 e12 e13 e15 \
          e16 e17 e18 --snapshot\",\n",
     );
     out.push_str(&format!("  \"host_cores\": {cores},\n"));
     out.push_str(
-        "  \"note\": \"states and leaves are deterministic; millis, states_per_sec, \
-         vs_serial and reduction are machine-dependent\",\n",
+        "  \"note\": \"states and leaves are deterministic; millis, states_per_sec \
+         and reduction are machine-dependent\",\n",
     );
     out.push_str("  \"e11_rows\": [\n");
     for (i, r) in e11.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"engine\": \"{}\", \
+            "    {{\"system\": \"{}\", \"crash_budget\": {}, \
              \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \"millis\": {:.1}, \
-             \"states_per_sec\": {:.0}, \"vs_serial\": {:.2}}}{}\n",
+             \"states_per_sec\": {:.0}}}{}\n",
             r.system,
             r.crash_budget,
-            r.engine,
             r.verdict,
             r.states,
             r.leaves,
             r.millis,
             r.states_per_sec,
-            r.vs_serial,
             if i + 1 == e11.len() { "" } else { "," }
         ));
     }
@@ -2883,15 +2759,14 @@ pub fn snapshot_json(
         out.push_str(&format!(
             "    {{\"system\": \"{}\", \"crash_budget\": {}, \"tier\": \"{}\", \
              \"mode\": \"{}\", \
-             \"threads\": {}, \"max_states\": {}, \"max_bytes\": {}, \"verdict\": \"{}\", \
+             \"max_states\": {}, \"max_bytes\": {}, \"verdict\": \"{}\", \
              \"states\": {}, \"leaves\": {}, \"millis\": {:.1}, \"states_per_sec\": {:.0}, \
-             \"peak_table_mb\": {:.1}, \"spilled_mb\": {:.1}, \"filter_bits\": {}, \
+             \"peak_table_mb\": {:.1}, \"spilled_mb\": {:.1}, \
              \"witness_mb\": {:.1}}}{}\n",
             r.system,
             r.crash_budget,
             r.tier,
             r.mode,
-            r.threads,
             r.max_states,
             r.max_bytes,
             r.verdict,
@@ -2901,7 +2776,6 @@ pub fn snapshot_json(
             r.states_per_sec,
             r.peak_table_mb,
             r.spilled_mb,
-            r.filter_bits,
             r.witness_mb,
             if i + 1 == e16.len() { "" } else { "," }
         ));
@@ -2910,14 +2784,13 @@ pub fn snapshot_json(
     for (i, r) in e17.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"mode\": \"{}\", \"threads\": {}, \"verdict\": \"{}\", \"states\": {}, \
+             \"mode\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \
              \"leaves\": {}, \"millis\": {:.1}, \"states_per_sec\": {:.0}, \
              \"reduction\": {:.1}}}{}\n",
             r.system,
             r.crash_budget,
             r.max_states,
             r.mode,
-            r.threads,
             r.verdict,
             r.states,
             r.leaves,
@@ -3057,7 +2930,7 @@ pub fn lint_catalog() -> Vec<(String, LintSystemFn)> {
     {
         // Distinct inputs: every orbit is a singleton, so the declared
         // round-register family is *inert* — the certifier records the
-        // warning and the engines never permute it.
+        // warning and the search never permutes it.
         let inputs: Vec<Value> = (0..2i64).map(Value::Int).collect();
         catalog.push((
             "SimultaneousRc n=2 (sym)".into(),
@@ -3124,7 +2997,7 @@ pub struct E14Row {
     /// ([`rc_runtime::SymmetrySpec::with_scalarset`]).
     pub has_scalarsets: bool,
     /// Scalarset equivariance certifier ([`rc_runtime::lint_scalarset`])
-    /// errors. Any error fails the gate: the engines refuse to permute
+    /// errors. Any error fails the gate: the search refuses to permute
     /// an uncertified family at search start, but the catalog must
     /// never ship a declaration the certifier rejects.
     pub scalarset_errors: Vec<String>,
@@ -3250,8 +3123,8 @@ fn ample_verdict(row: &E14Row) -> Result<String, String> {
 /// Classifies a row's scalarset-certificate result for the E14 gate:
 /// `Ok(verdict)` keeps the gate green (`"—"` for specs without declared
 /// families, `"certified"`, or `"certified (k warnings)"` — inert
-/// families warn but stay green because the engines never permute
-/// them), `Err(verdict)` fails it: the engines refuse to permute an
+/// families warn but stay green because the search never permutes
+/// them), `Err(verdict)` fails it: the search refuses to permute an
 /// uncertified family at search start, but the catalog must never ship
 /// a declaration the certifier rejects.
 fn scalarset_verdict(row: &E14Row) -> Result<String, String> {
@@ -3374,7 +3247,7 @@ pub fn e14_catalog_lint() -> (String, bool) {
          equivariance certificate (`lint_scalarset`) for declared \
          cross-read cell families: `certified` means every family \
          transposition provably leaves the local-state graphs \
-         equivariant (so the engines may permute the family with the \
+         equivariant (so the search may permute the family with the \
          process slots, E17); a certificate error fails the gate:\n{}{details}\
          overall: {}\n",
         t.render(),
@@ -3432,7 +3305,7 @@ mod tests {
         assert!(rows.iter().any(|r| r.mode == "rebind" && r.reduction > 1.0));
         assert!(rows.iter().any(|r| r.mode == "slots"));
         let json = snapshot_json(&[], &[], &rows, &[], &[], &[], &[]);
-        assert!(json.contains("\"schema\": 5"));
+        assert!(json.contains("\"schema\": 6"));
         assert!(json.contains("\"e13_rows\""));
         assert!(json.contains("\"e15_rows\""));
         assert!(json.contains("\"e16_rows\""));
@@ -3462,10 +3335,9 @@ mod tests {
     }
 
     /// The storage sweep's invariants (baseline truncates at the cap,
-    /// every lifted-cap tier × thread row verifies byte-identically,
-    /// the byte-budgeted run matches the grid, spill rows freeze runs,
-    /// filter rows populate the Bloom) are asserted inside the
-    /// experiment; the fast sweep exercises them, including the
+    /// the resident and spilling lifted-cap rows verify
+    /// byte-identically, the byte-budgeted run matches the grid, spill
+    /// rows freeze runs) are asserted inside the experiment; the fast sweep exercises them, including the
     /// acceptance-critical Truncated → Verified transition.
     #[test]
     fn storage_sweep_runs_fast() {
@@ -3473,22 +3345,21 @@ mod tests {
         assert!(report.contains("E16"));
         assert!(rows
             .iter()
-            .any(|r| r.tier == "flat" && r.verdict == "Truncated"));
+            .any(|r| r.tier == "packed" && r.verdict == "Truncated"));
         assert!(rows
             .iter()
             .any(|r| r.tier == "packed+spill" && r.verdict == "Verified" && r.spilled_mb > 0.0));
         assert!(rows.iter().any(|r| r.max_bytes > 0));
         let json = snapshot_json(&[], &[], &[], &[], &rows, &[], &[]);
         assert!(json.contains("\"e16_rows\""));
-        assert!(json.contains("packed+filter"));
+        assert!(json.contains("packed+spill"));
         assert!(
             rows.iter().any(|r| r.mode == "por+rebind"),
-            "the rebind+POR parity rows joined the tier grid"
+            "the rebind+POR parity rows joined the spill grid"
         );
     }
 
-    /// The scalarset sweep's invariants (every row Verified,
-    /// byte-identical outcomes across threads within each mode, reduced
+    /// The scalarset sweep's invariants (every row Verified, reduced
     /// weighted leaf counts equal to off, scalarset strictly below off,
     /// scalarset+por strictly below scalarset) are asserted inside the
     /// experiment; the fast sweep exercises them on the system E13/E15

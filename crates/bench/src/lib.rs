@@ -15,12 +15,12 @@
 //! | E8 | Corollary 17 hierarchy survey | [`exp::e8_catalog`] |
 //! | E9 | Theorem 22 multi-type bound | [`exp::e9_sets`] |
 //! | E10 | headline: when is RC harder? | [`exp::e10_headline`] |
-//! | E11 | model-checker engine scaling (states/sec, old vs new) | [`exp::e11_explore_scaling`] |
+//! | E11 | model-checker engine scaling (states/sec of the serial DFS) | [`exp::e11_explore_scaling`] |
 //! | E12 | process-symmetry reduction sweep | [`exp::e12_symmetry_reduction`] |
 //! | E13 | full-state symmetry (`Program::rebind`) sweep | [`exp::e13_full_state_symmetry`] |
 //! | E14 | catalog access-declaration + POR ample-set audit (`tables lint`) | [`exp::e14_catalog_lint`] |
 //! | E15 | partial-order reduction sweep (POR / rebind / both) | [`exp::e15_por_reduction`] |
-//! | E16 | tiered, bit-packed state-storage scaling sweep | [`exp::e16_storage_scaling`] |
+//! | E16 | packed state-storage scaling sweep (resident and spilling) | [`exp::e16_storage_scaling`] |
 //! | E17 | scalarset-symmetry sweep for Fig. 4 | [`exp::e17_scalarset_symmetry`] |
 //! | E18 | swarm verification: seeded schedules past the exhaustive frontier | [`exp::e18_swarm`] |
 //!

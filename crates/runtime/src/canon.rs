@@ -66,8 +66,8 @@
 //! program state key, decided bit, sleep bit (under POR), then the
 //! values of the process's owned cells and scalarset family cells. The
 //! order is **structural** — the order of the [`Value`](rc_spec::Value)s
-//! — so the representative choice is identical across engines, runs
-//! and thread counts. Sorting is a true canonical form: two states have
+//! — so the representative choice does not depend on the order values
+//! were first interned, and repeats from run to run. Sorting is a true canonical form: two states have
 //! equal canonical keys **iff** they are related by an orbit permutation
 //! (property-tested in `tests/proptest_runtime.rs`).
 //!

@@ -36,33 +36,20 @@
 //! reconstructed from per-node **parent links** instead of a live
 //! schedule vector.
 //!
-//! With [`ExploreConfig::threads`] ` > 1` (or via [`explore_parallel`])
-//! the search switches to a **parallel frontier** mode: breadth-first
-//! levels run through a *shard → reconcile → expand* pipeline in which
-//! both the expensive halves — child expansion **and** dedup — execute
-//! across `std::thread` workers, with only two cheap serial
-//! reconciliation passes per level (promoting newly seen values into
-//! the global interner and mapping per-shard inserts into the global
-//! node-index space, both in canonical frontier order). The result is
-//! fully deterministic across runs and thread counts: verdicts, state
-//! counts, leaf counts and the `Truncated` state count are
-//! byte-identical to the serial engine's for every config (the cap is
-//! exact in both engines: a search truncates iff it would need a
-//! `max_states + 1`-th distinct state, and reports exactly
-//! `max_states`). When several violations exist the engine reports the
-//! lexicographically least schedule of the shallowest violating level —
-//! which may differ from the serial DFS's first-found schedule, and on
-//! a *capped violating* search the engines may even split between
-//! `Violation` and `Truncated` (they walk different prefixes of the
-//! state space; a found violation is always reported, see the verdict
-//! precedence on [`ExploreOutcome`]).
+//! The search is deterministic: verdicts, state and leaf counts and
+//! violation schedules repeat exactly from run to run. Both caps are
+//! exact and cut in the DFS's acceptance order: a search truncates iff
+//! it would need a `max_states + 1`-th distinct state (and then reports
+//! exactly `max_states`), or a state whose accounted bytes overrun
+//! [`ExploreConfig::max_bytes`]. A found violation is always reported,
+//! see the verdict precedence on [`ExploreOutcome`].
 //!
 //! ## Process-symmetry reduction
 //!
 //! [`explore_symmetric`] accepts a factory that also declares a
 //! [`SymmetrySpec`] — which process ids are interchangeable (identical
-//! program, identical input, per-process cells registered). Both engines
-//! then map every child's key to its **canonical representative's key**
+//! program, identical input, per-process cells registered). The engine
+//! then maps every child's key to its **canonical representative's key**
 //! under process-id permutation before the visited lookup, so entire
 //! permutation classes collapse to one stored state: verdicts are
 //! unchanged, state counts shrink by up to the product of the orbit
@@ -73,9 +60,8 @@
 //! patched key, so — as without symmetry — only a new child is built,
 //! then permuted to match its key. The order is *structural*: equal ids
 //! are equal values, and differing ids compare by the values behind
-//! them, never by the ids themselves — so the reduction composes with
-//! the frontier pipeline without disturbing the byte-identical
-//! determinism across runs and thread counts. See the
+//! them, never by the ids themselves, so the representative does not
+//! depend on the order values were first interned. See the
 //! [`canon`](crate::canon) module for the soundness argument.
 //!
 //! ## Partial-order reduction
@@ -94,9 +80,7 @@
 //! adversary complete. Verdicts and leaf counts are identical to the
 //! unreduced search; state counts shrink. The reduction composes with
 //! symmetry (the sleep set joins the canonical signature and permutes
-//! with its processes) and with the frontier pipeline (sleep masks are
-//! precomputed serially per level, so outcomes stay byte-identical
-//! across engines and thread counts). [`lint_ample`] checks the
+//! with its processes). [`lint_ample`] checks the
 //! eligibility conditions statically and spot-checks pruned
 //! interleavings dynamically.
 
@@ -106,15 +90,14 @@ use crate::footprint::{
     analyze_system, analyze_system_states, system_analysis_cached, AnalysisBudget, CellSet,
     LocalStateInfo, StaticIndependence, SystemAnalysis, SystemFootprint,
 };
-use crate::intern::{Resolved, ShardInterner, ShardedStateTable, StateTable, ValueInterner};
+use crate::intern::ValueInterner;
 use crate::memory::{Addr, Cell, MemOps, Memory};
 use crate::program::{Pid, Program, Rebinding, Step};
 use crate::sched::Action;
-use crate::storage::{packed_key_len, StorageTier, VisitedTable, WitnessLog};
+use crate::storage::{packed_key_len, PackedStateTable, WitnessLog};
 use rc_spec::{Operation, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Configuration for [`explore`].
@@ -126,24 +109,12 @@ pub struct ExploreConfig {
     pub crash: CrashModel,
     /// The declared inputs, for the validity check. `None` skips validity.
     pub inputs: Option<Vec<Value>>,
-    /// Cap on distinct states visited. Both engines visit at most this
+    /// Cap on distinct states visited. The search visits at most this
     /// many states and report [`ExploreOutcome::Truncated`] — with a
     /// `states` count of exactly `max_states` — when one more would be
     /// needed; a cap equal to the reachable state-space size still
     /// verifies.
     pub max_states: usize,
-    /// Worker threads for the parallel frontier mode; `0` and `1` both
-    /// select the serial DFS engine.
-    pub threads: usize,
-    /// Forces the frontier engine's per-level worker count, bypassing
-    /// the machine-aware policy (which clamps by
-    /// `available_parallelism()` and level size). Outcomes are
-    /// independent of this knob; it exists so tests and CI can exercise
-    /// the staged multi-worker pipeline on single-core hosts.
-    pub workers_override: Option<usize>,
-    /// Forces the number of visited-set shards (default:
-    /// `min(threads, cores)`). Outcomes are independent of this knob.
-    pub shards_override: Option<usize>,
     /// Cross-validates the static independence relation derived by the
     /// footprint analysis ([`crate::footprint`]): at every expanded
     /// state, each pair of enabled steps the relation calls independent
@@ -170,31 +141,19 @@ pub struct ExploreConfig {
     /// identify the system's construction (the catalog benchmarks use
     /// their row labels); `None` analyzes uncached.
     pub analysis_id: Option<String>,
-    /// Which storage backend holds the visited set (see
-    /// [`StorageTier`]). Every tier is exact; verdicts, state counts,
-    /// leaf counts and witnesses are byte-identical across tiers (and
-    /// thread counts) — the tiers trade probe cost against resident
-    /// memory. Default: [`StorageTier::Packed`] (the bit-packed arena;
-    /// parity with the historical flat layout is asserted across the
-    /// whole E16 tier × thread grid); [`StorageTier::Flat`] remains
-    /// available as the opt-out.
-    pub storage: StorageTier,
     /// Cap on *accounted* visited-set bytes, alongside
     /// [`max_states`](Self::max_states). The account is a deterministic
     /// cost model — each accepted state charges its packed key length
-    /// ([`packed_key_len`]) plus a fixed per-entry overhead, in
-    /// canonical acceptance order — **not** the allocator's live
-    /// footprint, so truncation points are byte-identical across
-    /// storage tiers, thread counts and shard counts. A capped search
-    /// reports [`ExploreOutcome::Truncated`] exactly like a
-    /// `max_states` cut. Setting this routes even `threads ≤ 1` runs
-    /// through the frontier engine (whose canonical acceptance order is
-    /// thread-count-invariant; the serial DFS accepts in a different
-    /// order and would truncate elsewhere).
+    /// ([`packed_key_len`]) plus a fixed per-entry overhead, in the
+    /// DFS's acceptance order — **not** the allocator's live footprint,
+    /// so the truncation point is the same with and without spilling. A
+    /// capped search reports [`ExploreOutcome::Truncated`] exactly like
+    /// a `max_states` cut.
     pub max_bytes: Option<usize>,
-    /// Per-shard resident-arena bytes that trigger a disk freeze under
-    /// [`StorageTier::PackedSpill`] (`None` = 256 MiB). Outcomes are
-    /// independent of this knob; it bounds resident memory only.
+    /// Resident-arena bytes at which the visited set freezes its
+    /// entries into an on-disk run (see [`PackedStateTable`]); `None`
+    /// keeps the whole table in RAM. Outcomes are independent of this
+    /// knob; it bounds resident memory only.
     pub spill_threshold: Option<usize>,
 }
 
@@ -204,22 +163,14 @@ impl Default for ExploreConfig {
             crash: CrashModel::default(),
             inputs: None,
             max_states: 5_000_000,
-            threads: 1,
-            workers_override: None,
-            shards_override: None,
             cross_validate_independence: false,
             por: false,
             analysis_id: None,
-            storage: StorageTier::Packed,
             max_bytes: None,
             spill_threshold: None,
         }
     }
 }
-
-/// Default per-shard spill threshold: freeze a shard's resident arena
-/// to disk at 256 MiB.
-const DEFAULT_SPILL_THRESHOLD: usize = 256 << 20;
 
 /// Fixed per-entry overhead of the [`ExploreConfig::max_bytes`] cost
 /// model, charged on top of each accepted state's packed key length.
@@ -227,49 +178,35 @@ const BYTE_COST_OVERHEAD: usize = 16;
 
 /// The deterministic per-state cost charged against
 /// [`ExploreConfig::max_bytes`]: a pure function of the key, identical
-/// whichever storage tier actually holds it.
+/// whether the table holds it resident or spilled.
 #[inline]
 fn byte_cost(key: &[u32]) -> usize {
     packed_key_len(key) + BYTE_COST_OVERHEAD
 }
 
-/// Diagnostics about how a search actually executed — which engine ran,
-/// how wide the frontier pipeline fanned out, whether symmetry reduction
-/// was active. Outcomes never depend on any of this; tests use it to
-/// assert that forced multi-worker configurations really ran
-/// multi-worker (the CI thread matrix used to be silently neutralized on
-/// single-core runners).
+/// Diagnostics about how a search executed: which reductions were
+/// active and what its tables held. Outcomes never depend on any of
+/// this; every field is a deterministic function of the search.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExploreStats {
-    /// Whether the parallel frontier engine ran (vs the serial DFS).
-    pub frontier: bool,
-    /// The largest number of expansion workers any level fanned out to
-    /// (`1` means every level ran the fused path, or the serial engine).
-    pub max_level_workers: usize,
-    /// Number of visited-set shards (0 for the serial engine).
-    pub shards: usize,
     /// Whether a non-trivial [`SymmetrySpec`] was active.
     pub symmetry: bool,
     /// Whether partial-order reduction ([`ExploreConfig::por`]) ran.
     pub por: bool,
-    /// Which storage tier held the visited set.
-    pub storage: StorageTier,
     /// Approximate bytes held by the value interner (structural value
     /// payloads plus per-entry overhead). Deterministic: a pure
     /// function of the interned values.
     pub interned_bytes: usize,
-    /// Resident visited-set bytes at search end (accounted model:
-    /// arena/index/filter for packed tiers, key words + map overhead
-    /// for the flat tier), summed across shards.
+    /// Resident visited-set bytes at search end (accounted model: key
+    /// arena, index slots, entry metadata and the spill runs' Blooms).
     pub table_bytes: usize,
-    /// High-water resident visited-set bytes (per-shard peaks summed;
-    /// differs from [`table_bytes`](Self::table_bytes) only when the
-    /// spill tier froze resident entries to disk).
+    /// High-water resident visited-set bytes (differs from
+    /// [`table_bytes`](Self::table_bytes) only when the table froze
+    /// resident entries to disk).
     pub peak_table_bytes: usize,
-    /// Total bytes written to spill runs (0 without the spill tier).
+    /// Total bytes written to spill runs (0 without
+    /// [`ExploreConfig::spill_threshold`]).
     pub spilled_bytes: usize,
-    /// Bits set across the Bloom prefilters (0 without a filter tier).
-    pub filter_occupancy: usize,
     /// Bytes held by the compacted witness log (parent links, interned
     /// permutations and parent→child key deltas).
     pub witness_bytes: usize,
@@ -748,7 +685,7 @@ fn step_delta(parent: &SysState, action: Action) -> StepDelta {
 /// stepped program, the written cell and the decision. Crash branches
 /// take the shared post-crash program from `crashed` instead of
 /// cloning. An earlier decided value is kept: a conflicting decision is
-/// a violation the checked engines report before building the child.
+/// a violation the search reports before building the child.
 fn materialize(
     parent: &SysState,
     action: Action,
@@ -785,12 +722,9 @@ fn materialize(
 
 /// Writes the key of the child `action` leads to into `key`: the
 /// parent's key with the slots the action touched patched (see
-/// [`KeyLayout`]) and the child's sleep words. Value slots go through
-/// `resolve(key, slot, value)` — the interner in the serial engines,
-/// the frozen-interner-plus-placeholder path in the frontier workers —
-/// in a fixed order (written cell, program key, decided value), so
-/// value ids are handed out identically whichever engine builds the
-/// key. A decision conflicting with the parent's decided value, or
+/// [`KeyLayout`]) and the child's sleep words. Value slots are interned
+/// in a fixed order (written cell, program key, decided value). A
+/// decision conflicting with the parent's decided value, or
 /// outside the declared inputs, is returned as a violation before
 /// anything is resolved.
 #[allow(clippy::too_many_arguments)]
@@ -804,7 +738,7 @@ fn patch_child_key(
     crashes: &CrashedSet,
     inputs: Option<&[Value]>,
     key: &mut Vec<u32>,
-    mut resolve: impl FnMut(&mut [u32], usize, &Value),
+    interner: &mut ValueInterner,
 ) -> Result<(), (ViolationKind, Vec<Value>)> {
     if let Some(v) = &delta.decided {
         if let Some(kind) = check_output(inputs, parent.decided_value.as_ref(), v) {
@@ -835,12 +769,12 @@ fn patch_child_key(
     }
     layout.write_sleep(key, child_sleep);
     if let Some((cell, value)) = &delta.write {
-        resolve(key, *cell, value);
+        key[*cell] = interner.intern(value);
     }
     match action {
         Action::Step(p) | Action::Branch(p, _) => {
             let prog = delta.prog.as_ref().expect("a step delta holds its program");
-            resolve(key, layout.prog(p), &prog.state_key());
+            key[layout.prog(p)] = interner.intern(&prog.state_key());
         }
         Action::Crash(p) => key[layout.prog(p)] = crashes.ids[p],
         Action::CrashAll => {
@@ -852,23 +786,22 @@ fn patch_child_key(
     if let Some(v) = &delta.decided {
         // Equal to the parent's decided value when it had one (checked
         // above), so this re-resolves the same value.
-        resolve(key, layout.decided_value(), v);
+        key[layout.decided_value()] = interner.intern(v);
     }
     Ok(())
 }
 
 /// The post-crash program objects, one per process, precomputed **once**
-/// per search and shared by both engines: [`Program::on_crash`] resets a
-/// program to its initial state (input retained — the input never
-/// changes across runs), so the reset object and its interned key id are
-/// constants whatever state the crash hit. Crash children take a
-/// refcount bump and a precomputed id, nothing else, and the frontier
-/// engine's expansion workers read the set lock-free. This leans on the
+/// per search: [`Program::on_crash`] resets a program to its initial
+/// state (input retained — the input never changes across runs), so the
+/// reset object and its interned key id are constants whatever state the
+/// crash hit. Crash children take a refcount bump and a precomputed id,
+/// nothing else. This leans on the
 /// same contract the memoization already leans on (`on_crash` resets
 /// *everything* volatile; `state_key` is complete).
 struct CrashedSet {
     progs: Vec<Arc<Box<dyn Program>>>,
-    /// Global interned id of each post-crash program key.
+    /// Interned id of each post-crash program key.
     ids: Vec<u32>,
 }
 
@@ -896,219 +829,21 @@ impl CrashSource for FixedCrashes<'_> {
     }
 }
 
-/// A child produced by the parallel expansion phase, awaiting the serial
-/// reconciliation passes: its key is fully patched except for values the
-/// frozen global interner had not seen (listed in `unresolved` as
-/// worker-local ids), and `route` — the shard router, present iff the
-/// key is fully resolved — is the [`key_route`] of the resolved key.
-struct PendingChild {
-    state: SysState,
-    key: Vec<u32>,
-    /// `(key slot, local id in the producing worker's ShardInterner)`.
-    unresolved: Vec<(usize, u32)>,
-    /// The destination shard, present iff the key is fully resolved (the
-    /// reconciliation pass routes patched keys itself).
-    shard: Option<usize>,
-    parent: (u32, Action),
-    /// The canonicalization permutation applied to this child (`None` =
-    /// identity), for the parent link.
-    perm: Option<Box<[u8]>>,
-}
-
-/// The shard route of a **fully resolved** key: an [`FxHasher`] pass
-/// over its words. Sound as a deduplication router because resolved
-/// keys are themselves deterministic across runs, thread counts and
-/// level paths (fused or staged): global value ids are assigned in
-/// first-use order along the canonical frontier order, which no worker
-/// count changes — so every duplicate of a state carries the identical
-/// resolved key and lands in the identical shard. Keys still holding
-/// local-id placeholders are never routed with this (their states are
-/// provably new; the serial reconciliation pass patches them and routes
-/// the patched key).
-fn key_route(key: &[u32]) -> u64 {
-    let mut hasher = crate::intern::FxHasher::default();
-    for &word in key {
-        hasher.write_u32(word);
-    }
-    hasher.finish()
-}
-
-/// The shard a fully resolved key deduplicates in. With a single shard
-/// no route is hashed at all — the single-shard configuration (every
-/// run on a single-core machine) pays zero routing overhead.
-fn shard_for(visited: &ShardedStateTable, key: &[u32]) -> usize {
-    if visited.shard_count() == 1 {
-        0
-    } else {
-        visited.shard_of(key_route(key))
-    }
-}
-
-/// Encodes a worker-local id as a key-slot placeholder: descending from
-/// `NONE - 1`, far above any real global id (the interner asserts ids
-/// stay below [`ValueInterner::NONE`] and a state space approaching
-/// 4 billion distinct *values* is unreachable anyway). The encoding is
-/// injective per worker, so scratch keys containing placeholders still
-/// deduplicate correctly within a chunk; the value-reconciliation pass
-/// overwrites every placeholder with the real global id before any key
-/// crosses chunks.
-fn local_placeholder(local: u32) -> u32 {
-    ValueInterner::NONE - 1 - local
-}
-
-/// Resolves one value slot against the frozen global interner, spilling
-/// first-seen values into the worker's local interner.
-fn resolve_slot(
-    pos: usize,
-    value: &Value,
-    key: &mut [u32],
-    unresolved: &mut Vec<(usize, u32)>,
-    global: &ValueInterner,
-    scratch: &mut ShardInterner,
-) {
-    match scratch.resolve(global, value) {
-        Resolved::Global(id) => key[pos] = id,
-        Resolved::Local(local) => {
-            key[pos] = local_placeholder(local);
-            unresolved.push((pos, local));
-        }
-    }
-}
-
-/// The inverse of [`local_placeholder`].
-fn placeholder_local(placeholder: u32) -> u32 {
-    ValueInterner::NONE - 1 - placeholder
-}
-
 /// A keyed child plus its canonicalization permutation (`None` =
-/// identity), as returned by [`make_child_serial`]: still a delta
+/// identity), as returned by [`make_child`]: still a delta
 /// against its parent, so a duplicate is dropped without ever building
 /// its state.
-type SerialChild = (StepDelta, Option<Box<[u8]>>);
+type ChildDelta = (StepDelta, Option<Box<[u8]>>);
 
-/// A surviving child of [`make_child_frontier`]: state, owned key, its
-/// unresolved slots, its destination shard (when routable) and its
-/// canonicalization permutation.
-type FrontierChild = (
-    SysState,
-    Vec<u32>,
-    Vec<(usize, u32)>,
-    Option<usize>,
-    Option<Box<[u8]>>,
-);
-
-/// The parallel engine's child builder: steps a clone of the parent's
-/// program against the parent's memory ([`step_delta`]), then patches,
-/// resolves and canonicalizes the child key **in the reusable
-/// `key_scratch` buffer** against the *frozen* global interner.
-/// Duplicates are dropped right here, in the worker, before their state
-/// is ever built:
-///
-/// * a child already produced by this chunk (`seen_in_chunk`, keyed on
-///   the scratch key — placeholder-encoded local ids keep it injective)
-///   can never be the canonical-order winner of its state, so dropping
-///   it is invisible to the deterministic outcome;
-/// * a fully resolved child already present in the (frozen) visited
-///   shards is a prior-level duplicate — a key with an unresolved value
-///   cannot be, since stored keys only ever hold global ids.
-#[allow(clippy::too_many_arguments)]
-fn make_child_frontier(
-    parent: &SysState,
-    parent_key: &[u32],
-    action: Action,
-    child_sleep: u64,
-    layout: &KeyLayout,
-    crashes: &CrashedSet,
-    global: &ValueInterner,
-    scratch: &mut ShardInterner,
-    seen_in_chunk: &mut StateTable,
-    key_scratch: &mut Vec<u32>,
-    visited: &ShardedStateTable,
-    inputs: Option<&[Value]>,
-    spec: Option<&SymmetrySpec>,
-) -> Result<Option<FrontierChild>, (ViolationKind, Vec<Value>)> {
-    let delta = step_delta(parent, action);
-    let mut unresolved: Vec<(usize, u32)> = Vec::new();
-    patch_child_key(
-        parent,
-        parent_key,
-        action,
-        &delta,
-        child_sleep,
-        layout,
-        crashes,
-        inputs,
-        key_scratch,
-        |key, pos, value| resolve_slot(pos, value, key, &mut unresolved, global, scratch),
-    )?;
-    let key = key_scratch;
-    // Canonicalize before any dedup: the signature order is structural
-    // (equal ids, else the values behind them — a placeholder's value
-    // lives in this worker's local interner), so the representative and
-    // therefore the dedup behaviour are worker-count independent even
-    // while key slots still hold placeholders, whose positions the
-    // permutation moves.
-    let perm = canonicalize_key(
-        spec,
-        || child_pinned(parent, action, &delta, crashes),
-        key,
-        layout,
-        |id| {
-            if (id as usize) < global.len() {
-                global.value(id)
-            } else {
-                scratch.value(placeholder_local(id))
-            }
-        },
-    );
-    if let (Some(perm), Some(spec)) = (&perm, spec) {
-        for entry in &mut unresolved {
-            if let Some((_, new_pos)) = moved_slots(perm, layout, spec).find(|m| m.0 == entry.0) {
-                entry.0 = new_pos;
-            }
-        }
-    }
-    let shard = if unresolved.is_empty() {
-        // Prior-level duplicates drop before touching the chunk table.
-        let shard = shard_for(visited, key);
-        if visited.contains(shard, key) {
-            return Ok(None);
-        }
-        Some(shard)
-    } else {
-        None
-    };
-    let (_, first_in_chunk) = seen_in_chunk.insert(key);
-    if !first_in_chunk {
-        return Ok(None);
-    }
-    let child = delta.into_state(
-        parent,
-        action,
-        child_sleep,
-        perm.as_deref(),
-        key,
-        layout,
-        crashes,
-        spec,
-        |v| match scratch.resolve(global, v) {
-            Resolved::Global(id) => id,
-            Resolved::Local(local) => local_placeholder(local),
-        },
-    );
-    Ok(Some((child, key.clone(), unresolved, shard, perm)))
-}
-
-/// The serial child builder (the DFS engine and the frontier's fused
-/// level path): the interner is at hand, so the final key is written
-/// straight into the reusable `scratch` buffer — patched, then (with a
+/// The child builder: the final key is written straight into the
+/// reusable `scratch` buffer — patched, then (with a
 /// [`SymmetrySpec`]) mapped to its canonical representative's key. The
 /// child comes back as its [`StepDelta`], which the caller builds
 /// ([`StepDelta::into_state`]) only once the visited set calls the key
 /// new — a duplicate costs the program clone and step, never a state.
 /// The returned permutation goes on the child's parent link.
 #[allow(clippy::too_many_arguments)]
-fn make_child_serial(
+fn make_child(
     parent: &SysState,
     parent_key: &[u32],
     action: Action,
@@ -1119,7 +854,7 @@ fn make_child_serial(
     inputs: Option<&[Value]>,
     scratch: &mut Vec<u32>,
     spec: Option<&SymmetrySpec>,
-) -> Result<SerialChild, (ViolationKind, Vec<Value>)> {
+) -> Result<ChildDelta, (ViolationKind, Vec<Value>)> {
     let delta = step_delta(parent, action);
     patch_child_key(
         parent,
@@ -1131,7 +866,7 @@ fn make_child_serial(
         crashes,
         inputs,
         scratch,
-        |key, pos, value| key[pos] = interner.intern(value),
+        interner,
     )?;
     let perm = canonicalize_key(
         spec,
@@ -1350,8 +1085,7 @@ fn compose_perm(m: Option<Box<[u8]>>, pi: Option<&[u8]>) -> Option<Box<[u8]>> {
 /// accumulated *before* its edge, and each edge's permutation is then
 /// composed in. Without symmetry every permutation is `None` and this
 /// degenerates to the plain parent-link walk. The log is append-only
-/// and self-contained, so reconstruction works even after the frontier
-/// engine dropped the in-RAM nodes of earlier levels and the visited
+/// and self-contained, so reconstruction works even after the visited
 /// set spilled to disk.
 fn schedule_to(
     witness: &WitnessLog,
@@ -1375,10 +1109,10 @@ fn schedule_to(
 }
 
 /// The running account charged against [`ExploreConfig::max_bytes`]:
-/// every accepted state adds [`byte_cost`] of its resolved key, in
-/// canonical acceptance order. Storage-tier- and
-/// thread-count-independent by construction, so a byte-capped search
-/// truncates at the identical state everywhere.
+/// every accepted state adds [`byte_cost`] of its resolved key, in the
+/// DFS's acceptance order. Independent of where the table keeps its
+/// keys, so a byte-capped search truncates at the identical state with
+/// or without spilling.
 struct ByteBudget {
     cap: Option<usize>,
     accepted: usize,
@@ -1669,8 +1403,8 @@ fn validate_scalarset_cells(root: &SysState, spec: &SymmetrySpec) {
 }
 
 /// Footprint-analysis artifacts, computed by the public entry points
-/// (which still hold the factory's `Memory` and programs — the engines
-/// only ever see the copy-on-write root) and threaded into the engines:
+/// (which still hold the factory's `Memory` and programs — the engine
+/// only ever sees the copy-on-write root) and threaded into the engine:
 /// the analyzed footprint feeds [`validate_symmetry`], the independence
 /// relation the dynamic cross-validation.
 #[derive(Default)]
@@ -1873,10 +1607,9 @@ struct PorEngine {
 
 impl PorEngine {
     /// Builds the engine, interning every analyzed state key in a fixed
-    /// order (pid-major, discovery order). Both engines construct this
-    /// at the same point — right after [`CrashedSet::new`] — so value
-    /// ids, and therefore every node key, stay identical across engines
-    /// and thread counts.
+    /// order (pid-major, discovery order), right after
+    /// [`CrashedSet::new`], so value ids and therefore every node key
+    /// repeat exactly from run to run.
     fn new(analysis: Arc<SystemAnalysis>, interner: &mut ValueInterner) -> Self {
         let by_id = analysis
             .per_process
@@ -1934,8 +1667,7 @@ impl PorEngine {
 /// * each expanded child inherits the sleeping pids that remain
 ///   immediately independent of the step taken, plus its
 ///   already-expanded siblings — classic sleep-set propagation, in
-///   ascending pid order so the set is engine- and thread-count
-///   deterministic.
+///   ascending pid order so the set is deterministic.
 ///
 /// An empty action list with `terminal == false` is a fully pruned
 /// node: visited and counted, but **not** a leaf and expanding nothing.
@@ -2070,8 +1802,7 @@ fn step_pair(state: &SysState, a: Action, b: Action) -> (SysState, Option<Value>
 /// produce identical memory, identical state keys for both processes,
 /// identical decided flags and identical decisions. Called once per
 /// expanded node when
-/// [`ExploreConfig::cross_validate_independence`] is set; pure, so the
-/// frontier workers run it concurrently without coordination.
+/// [`ExploreConfig::cross_validate_independence`] is set.
 fn cross_validate_node(state: &SysState, indep: &StaticIndependence) {
     let n = state.programs.len();
     // Every step-like action of each undecided process: one `Step` for
@@ -2135,8 +1866,8 @@ fn cross_validate_node(state: &SysState, indep: &StaticIndependence) {
     }
 }
 
-/// Maps a keyed child's key — resolved, or carrying frontier
-/// placeholders — to its canonical representative's key under `spec`'s
+/// Maps a keyed child's key to its canonical representative's key under
+/// `spec`'s
 /// orbit permutations, without building the child. Returns the
 /// permutation applied (`perm[i]` = source slot of canonical slot `i`,
 /// see [`permute_key`]), or `None` when there is no spec, the key is
@@ -2198,10 +1929,9 @@ fn child_pinned(
 /// Value slots compare **equal when their ids are equal, else by the
 /// values behind them** (`value_of`). Interning is injective, so this is
 /// exactly the structural order of the values — never the order of the
-/// ids, which depends on first-use order and, in frontier workers, on
-/// worker-local placeholders. The representative is therefore identical
-/// across engines, runs and thread counts, and equal to the structural
-/// sort debug builds check against (`debug_assert_keyed`).
+/// ids, which depends on first-use order. The representative is
+/// therefore the one the structural sort debug builds check against
+/// (`debug_assert_keyed`) picks.
 fn canonical_perm_of_key<'v>(
     key: &[u32],
     layout: &KeyLayout,
@@ -2407,8 +2137,9 @@ struct SerialEngine<'a> {
     indep: Option<&'a StaticIndependence>,
     por: Option<&'a PorEngine>,
     interner: ValueInterner,
-    visited: VisitedTable,
+    visited: PackedStateTable,
     witness: WitnessLog,
+    budget: ByteBudget,
     root_perm: Option<Box<[u8]>>,
     leaves: usize,
     truncated: bool,
@@ -2417,7 +2148,8 @@ struct SerialEngine<'a> {
 impl SerialEngine<'_> {
     /// Memoizes the state whose resolved key is `key` and, when it is
     /// new, logs its witness edge and returns its node index. Sets
-    /// `truncated` when the state is new but the cap is already full.
+    /// `truncated` when the state is new but the state cap is already
+    /// full, or its [`byte_cost`] would overrun the byte cap.
     /// Runs on the key alone, so the caller builds a child state only
     /// for a key this admits. `parent_key` is the parent's resolved key
     /// (empty at the root), against which the witness log delta-encodes
@@ -2437,6 +2169,12 @@ impl SerialEngine<'_> {
         }
         let (idx, is_new) = self.visited.insert(key);
         if !is_new {
+            return None;
+        }
+        if self.budget.charge(key) {
+            // The rejected key stays in the table, but the search stops
+            // here and counts accepted states from the witness log.
+            self.truncated = true;
             return None;
         }
         match parent {
@@ -2480,21 +2218,16 @@ impl SerialEngine<'_> {
     }
 }
 
+/// The search behind every entry point: normalizes a trivial
+/// [`SymmetrySpec`] away, so the symmetry-off hot paths stay untouched,
+/// then runs the DFS.
 fn explore_serial(
     mut root: SysState,
     config: &ExploreConfig,
     spec: Option<&SymmetrySpec>,
     analysis: &AnalysisCtx,
-    stats: &mut ExploreStats,
-) -> ExploreOutcome {
-    // A byte-capped search must truncate at the same state whatever the
-    // thread count; the serial DFS accepts states in a different order
-    // than the frontier's canonical level order, so `dispatch` routes
-    // `max_bytes` runs to the frontier engine even at threads ≤ 1.
-    debug_assert!(
-        config.max_bytes.is_none(),
-        "byte-capped searches run on the frontier engine"
-    );
+) -> (ExploreOutcome, ExploreStats) {
+    let spec = spec.filter(|s| !s.is_trivial());
     let layout = KeyLayout::of(&root, analysis.por.is_some());
     let mut interner = ValueInterner::new();
     let crashes = CrashedSet::new(&root, &mut interner);
@@ -2509,11 +2242,9 @@ fn explore_serial(
         indep: analysis.independence.as_ref(),
         por: por.as_ref(),
         interner,
-        visited: VisitedTable::new(
-            config.storage,
-            config.spill_threshold.unwrap_or(DEFAULT_SPILL_THRESHOLD),
-        ),
+        visited: PackedStateTable::new(config.spill_threshold),
         witness: WitnessLog::new(),
+        budget: ByteBudget::new(config.max_bytes),
         root_perm: None,
         leaves: 0,
         truncated: false,
@@ -2546,7 +2277,7 @@ fn explore_serial(
             let (action, child_sleep) = top.actions[top.cursor];
             top.cursor += 1;
             let parent_idx = top.idx;
-            match make_child_serial(
+            match make_child(
                 &top.state,
                 &top.key,
                 action,
@@ -2592,663 +2323,48 @@ fn explore_serial(
                 }
             }
         }
+        let states = engine.witness.len();
         if engine.truncated {
-            ExploreOutcome::Truncated {
-                states: engine.visited.len(),
-            }
+            ExploreOutcome::Truncated { states }
         } else {
             ExploreOutcome::Verified {
-                states: engine.visited.len(),
+                states,
                 leaves: engine.leaves,
             }
         }
     };
-    stats.interned_bytes = engine.interner.approx_bytes();
-    stats.table_bytes = engine.visited.resident_bytes();
-    stats.peak_table_bytes = engine.visited.peak_resident_bytes();
-    stats.spilled_bytes = engine.visited.spilled_bytes();
-    stats.filter_occupancy = engine.visited.filter_bits_set();
-    stats.witness_bytes = engine.witness.bytes();
-    outcome
-}
-
-/// A violation observed while expanding a frontier node: the parent's
-/// node index plus the offending action and evidence.
-struct FoundViolation {
-    parent: u32,
-    action: Action,
-    kind: ViolationKind,
-    outputs: Vec<Value>,
-}
-
-/// A deduplicated node awaiting expansion: state, resolved key, global
-/// node index and its expandable actions with their child sleep masks
-/// (precomputed in the serial classification pass, so the parallel
-/// workers never consult the POR engine).
-type ExpandNode = (SysState, Vec<u32>, u32, Vec<(Action, u64)>);
-
-/// One expansion worker's output for its contiguous chunk of the level.
-struct ChunkOutput {
-    children: Vec<PendingChild>,
-    violations: Vec<FoundViolation>,
-    /// The worker's local overflow interner; consumed by the serial
-    /// value-reconciliation pass.
-    scratch: ShardInterner,
-}
-
-/// Expands one contiguous chunk of the level's nodes. Runs with every
-/// shared structure frozen (global interner, visited shards, post-crash
-/// set), so any number of workers may execute it concurrently; output
-/// order within the chunk is the canonical (parent, action) order.
-#[allow(clippy::too_many_arguments)]
-fn expand_chunk(
-    chunk: &[ExpandNode],
-    layout: &KeyLayout,
-    crashes: &CrashedSet,
-    global: &ValueInterner,
-    visited: &ShardedStateTable,
-    inputs: Option<&[Value]>,
-    spec: Option<&SymmetrySpec>,
-    indep: Option<&StaticIndependence>,
-) -> ChunkOutput {
-    let mut out = ChunkOutput {
-        children: Vec::new(),
-        violations: Vec::new(),
-        scratch: ShardInterner::new(),
-    };
-    let mut seen_in_chunk = StateTable::new();
-    let mut key_scratch: Vec<u32> = Vec::with_capacity(layout.len());
-    for (state, key, idx, actions) in chunk {
-        if let Some(indep) = indep {
-            cross_validate_node(state, indep);
-        }
-        for &(action, child_sleep) in actions {
-            match make_child_frontier(
-                state,
-                key,
-                action,
-                child_sleep,
-                layout,
-                crashes,
-                global,
-                &mut out.scratch,
-                &mut seen_in_chunk,
-                &mut key_scratch,
-                visited,
-                inputs,
-                spec,
-            ) {
-                Err((kind, outputs)) => out.violations.push(FoundViolation {
-                    parent: *idx,
-                    action,
-                    kind,
-                    outputs,
-                }),
-                Ok(Some((child, child_key, unresolved, shard, perm))) => {
-                    out.children.push(PendingChild {
-                        state: child,
-                        key: child_key,
-                        unresolved,
-                        shard,
-                        parent: (*idx, action),
-                        perm,
-                    });
-                }
-                Ok(None) => {} // already-visited duplicate, dropped in-worker
-            }
-        }
-    }
-    out
-}
-
-/// Inserts one shard's routed keys, preserving arrival (canonical)
-/// order; `(pos, key, was_new)` feeds the node reconciliation pass.
-fn insert_shard(
-    table: &mut VisitedTable,
-    bucket: Vec<(u32, Vec<u32>)>,
-) -> Vec<(u32, Vec<u32>, bool)> {
-    bucket
-        .into_iter()
-        .map(|(pos, key)| {
-            let (_, is_new) = table.insert(&key);
-            (pos, key, is_new)
-        })
-        .collect()
-}
-
-/// Below this many nodes per worker a level runs on fewer workers —
-/// spawning threads for tiny levels costs more than it saves. The
-/// results are identical at every worker count: chunking is contiguous
-/// and every serial pass walks canonical order, so worker count never
-/// affects what is computed, only where.
-const MIN_NODES_PER_WORKER: usize = 48;
-const MIN_INSERTS_FOR_PARALLEL: usize = 512;
-
-/// How many workers a level of `nodes` frontier nodes fans out to:
-/// bounded by the configured `threads`, by the machine's actual
-/// parallelism (oversubscribing cores buys coordination cost for no
-/// concurrency) and by the level size. `1` selects the fused level path.
-fn level_workers(threads: usize, nodes: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    (nodes / MIN_NODES_PER_WORKER).clamp(1, threads.min(cores))
-}
-
-/// What processing one frontier level produced.
-enum LevelResult {
-    /// The next frontier (possibly empty — then the search is done).
-    Next(Vec<ExpandNode>),
-    /// Violations found while expanding this level (schedule picking
-    /// happens at the caller; a violation beats a same-level cap hit).
-    Violations(Vec<FoundViolation>),
-    /// A new state was needed past the exact cap.
-    Truncated,
-}
-
-/// The fused single-worker level path: expansion, value interning and
-/// sharded insertion in one canonical-order walk, with no freeze
-/// hand-off — the direct-interned value ids, shard placement, node
-/// indices, parent links, leaf counts and cap behaviour are identical
-/// to the staged pipeline's by construction (both process children in
-/// canonical order; [`ValueInterner::intern`] is idempotent and
-/// first-use-wins either way). Used whenever a level fans out to a
-/// single worker, which keeps small levels — and whole runs on
-/// single-core machines — free of the staged pipeline's coordination
-/// costs.
-#[allow(clippy::too_many_arguments)]
-fn run_level_fused(
-    expand: &[ExpandNode],
-    layout: &KeyLayout,
-    crashes: &CrashedSet,
-    config: &ExploreConfig,
-    spec: Option<&SymmetrySpec>,
-    indep: Option<&StaticIndependence>,
-    por: Option<&PorEngine>,
-    global: &mut ValueInterner,
-    visited: &mut ShardedStateTable,
-    witness: &mut WitnessLog,
-    budget: &mut ByteBudget,
-    leaves: &mut usize,
-) -> LevelResult {
-    let mut violations: Vec<FoundViolation> = Vec::new();
-    let mut next: Vec<ExpandNode> = Vec::new();
-    let mut key_scratch: Vec<u32> = Vec::with_capacity(layout.len());
-    let mut truncated = false;
-    let inputs = config.inputs.as_deref();
-    for (state, key, idx, actions) in expand {
-        if let Some(indep) = indep {
-            cross_validate_node(state, indep);
-        }
-        for &(action, child_sleep) in actions {
-            // The serial engine's child builder verbatim — the fused
-            // path adds only the level bookkeeping around it, so the
-            // key-first child construction exists in exactly one place.
-            // (Past the cap it still runs, to keep scanning the rest of
-            // the level for violations, which outrank truncation —
-            // exactly as the staged pipeline's whole-level expansion
-            // does; the few extra interns are discarded with the level.)
-            let (child, perm) = match make_child_serial(
-                state,
-                key,
-                action,
-                child_sleep,
-                layout,
-                crashes,
-                global,
-                inputs,
-                &mut key_scratch,
-                spec,
-            ) {
-                Err((kind, outputs)) => {
-                    violations.push(FoundViolation {
-                        parent: *idx,
-                        action,
-                        kind,
-                        outputs,
-                    });
-                    continue;
-                }
-                Ok(child) => child,
-            };
-            if truncated {
-                continue;
-            }
-            let shard = shard_for(visited, &key_scratch);
-            let (_, is_new) = visited.shards_mut()[shard].insert(&key_scratch);
-            if !is_new {
-                continue;
-            }
-            if witness.len() >= config.max_states || budget.charge(&key_scratch) {
-                truncated = true;
-                continue;
-            }
-            let child_idx = u32::try_from(witness.len()).expect("node index fits u32");
-            witness.push(
-                Some(*idx),
-                action_code(action),
-                perm.as_deref(),
-                key,
-                &key_scratch,
-            );
-            let child = child.into_state(
-                state,
-                action,
-                child_sleep,
-                perm.as_deref(),
-                &key_scratch,
-                layout,
-                crashes,
-                spec,
-                |v| global.intern(v),
-            );
-            let (child_actions, terminal) =
-                expand_actions(&child, &key_scratch, layout, &config.crash, por);
-            if terminal {
-                *leaves += leaf_weight(spec, &child, &key_scratch, layout);
-            } else if !child_actions.is_empty() {
-                next.push((child, key_scratch.clone(), child_idx, child_actions));
-            }
-            // Neither: POR pruned every enabled step — counted, no leaf.
-        }
-    }
-    if !violations.is_empty() {
-        LevelResult::Violations(violations)
-    } else if truncated {
-        LevelResult::Truncated
-    } else {
-        LevelResult::Next(next)
-    }
-}
-
-/// The parallel frontier engine: breadth-first levels through a
-/// **shard → reconcile → expand** pipeline.
-///
-/// Per level: (a) *expansion* — contiguous chunks of the frontier fan
-/// out across workers, each cloning/stepping children, resolving keys
-/// against the frozen global interner (first-seen values spill to a
-/// worker-local [`ShardInterner`]), routing by content hash and
-/// dropping prior-level duplicates against the frozen visited shards;
-/// (b) *value reconciliation* (serial, touches only first-seen values)
-/// — local ids are promoted to global ids in canonical order, exactly
-/// the ids one serial interner would assign; (c) *sharded dedup* — the
-/// surviving children are bucketed by route and each shard's
-/// [`StateTable`] inserts its bucket on its own worker; (d) *node
-/// reconciliation* (serial, touches only surviving children) — per-shard
-/// insert results are merged back into canonical order, new states get
-/// dense global node indices, parent links, the exact `max_states`
-/// check, and leaf/expansion classification.
-///
-/// Determinism across runs *and* thread counts: chunks are contiguous
-/// and concatenated in chunk order, so canonical order never depends on
-/// the worker count; all duplicates of a state share a content route
-/// and therefore a shard, so the dedup winner is the canonical-order
-/// first occurrence; and node indices are assigned in a serial pass
-/// over that order.
-/// One staged (multi-worker) level of the pipeline; see
-/// [`explore_frontier`] for the phase breakdown.
-#[allow(clippy::too_many_arguments)]
-fn run_level_staged(
-    expand: &[ExpandNode],
-    workers: usize,
-    layout: &KeyLayout,
-    crashes: &CrashedSet,
-    config: &ExploreConfig,
-    spec: Option<&SymmetrySpec>,
-    indep: Option<&StaticIndependence>,
-    por: Option<&PorEngine>,
-    global: &mut ValueInterner,
-    visited: &mut ShardedStateTable,
-    witness: &mut WitnessLog,
-    budget: &mut ByteBudget,
-    leaves: &mut usize,
-    stats: &mut ExploreStats,
-) -> LevelResult {
-    // (a) Parallel expansion over contiguous chunks.
-    let chunk_size = expand.len().div_ceil(workers);
-    let mut outputs: Vec<ChunkOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = expand
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let (global, visited, crashes) = (&*global, &*visited, crashes);
-                let inputs = config.inputs.as_deref();
-                scope.spawn(move || {
-                    expand_chunk(chunk, layout, crashes, global, visited, inputs, spec, indep)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    // The workers that really fanned out: one per contiguous chunk,
-    // which can be fewer than `workers` on small levels. Recorded here —
-    // not re-derived at the call site — so the stat can never drift from
-    // the chunking policy above.
-    stats.max_level_workers = stats.max_level_workers.max(outputs.len());
-
-    let violations: Vec<FoundViolation> = outputs
-        .iter_mut()
-        .flat_map(|o| o.violations.drain(..))
-        .collect();
-    if !violations.is_empty() {
-        return LevelResult::Violations(violations);
-    }
-
-    // (b) Value reconciliation + (c₁) routing, one serial walk in
-    // canonical order (chunk order × within-chunk order).
-    let total: usize = outputs.iter().map(|o| o.children.len()).sum();
-    let mut states: Vec<(SysState, ParentLink)> = Vec::with_capacity(total);
-    let mut buckets: Vec<Vec<(u32, Vec<u32>)>> =
-        (0..visited.shard_count()).map(|_| Vec::new()).collect();
-    for output in outputs {
-        let scratch = output.scratch;
-        for mut child in output.children {
-            for &(pos, local) in &child.unresolved {
-                child.key[pos] = global.intern(scratch.value(local));
-            }
-            let shard = child
-                .shard
-                .unwrap_or_else(|| shard_for(visited, &child.key));
-            let pos = u32::try_from(states.len()).expect("level fits u32");
-            buckets[shard].push((pos, child.key));
-            states.push((
-                child.state,
-                ParentLink {
-                    parent: child.parent.0,
-                    action: child.parent.1,
-                    perm: child.perm,
-                },
-            ));
-        }
-    }
-
-    // (c₂) Parallel sharded dedup: each shard inserts its bucket.
-    let shard_results: Vec<Vec<(u32, Vec<u32>, bool)>> =
-        if total < MIN_INSERTS_FOR_PARALLEL || workers == 1 {
-            visited
-                .shards_mut()
-                .iter_mut()
-                .zip(buckets)
-                .map(|(table, bucket)| insert_shard(table, bucket))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = visited
-                    .shards_mut()
-                    .iter_mut()
-                    .zip(buckets)
-                    .map(|(table, bucket)| scope.spawn(move || insert_shard(table, bucket)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-        };
-
-    // (d) Node reconciliation: merge per-shard results back into
-    // canonical order and assign global node indices, enforcing the
-    // cap exactly — a new state past it truncates, a duplicate does
-    // not, matching the serial engine state for state.
-    let mut merged: Vec<Option<(Vec<u32>, bool)>> = (0..total).map(|_| None).collect();
-    for result in shard_results {
-        for (pos, key, is_new) in result {
-            merged[pos as usize] = Some((key, is_new));
-        }
-    }
-    let mut next: Vec<ExpandNode> = Vec::new();
-    for ((state, parent), slot) in states.into_iter().zip(merged) {
-        let (key, is_new) = slot.expect("every routed child was inserted");
-        if !is_new {
-            continue;
-        }
-        if witness.len() >= config.max_states || budget.charge(&key) {
-            return LevelResult::Truncated;
-        }
-        let idx = u32::try_from(witness.len()).expect("node index fits u32");
-        // The parent's key, for the witness delta: every parent of a
-        // level's children is a node of the level being expanded, and
-        // `expand` is ordered by ascending node index.
-        let parent_pos = expand
-            .binary_search_by_key(&parent.parent, |node| node.2)
-            .expect("parent of a level child is in the expanded level");
-        witness.push(
-            Some(parent.parent),
-            action_code(parent.action),
-            parent.perm.as_deref(),
-            &expand[parent_pos].1,
-            &key,
-        );
-        let (actions, terminal) = expand_actions(&state, &key, layout, &config.crash, por);
-        if terminal {
-            *leaves += leaf_weight(spec, &state, &key, layout);
-        } else if !actions.is_empty() {
-            next.push((state, key, idx, actions));
-        }
-        // Neither: POR pruned every enabled step — counted, no leaf.
-    }
-    LevelResult::Next(next)
-}
-
-/// The parallel frontier driver. The per-level worker policy and shard
-/// count honour [`ExploreConfig::workers_override`] /
-/// [`ExploreConfig::shards_override`], which force the staged
-/// multi-worker, multi-shard pipeline on machines whose core count would
-/// select the fused single-shard configuration. Outcomes are independent
-/// of both knobs (asserted by tests); [`ExploreStats`] records what
-/// actually ran.
-fn explore_frontier(
-    mut root: SysState,
-    config: &ExploreConfig,
-    threads: usize,
-    spec: Option<&SymmetrySpec>,
-    analysis: &AnalysisCtx,
-    stats: &mut ExploreStats,
-) -> ExploreOutcome {
-    let indep = analysis.independence.as_ref();
-    let layout = KeyLayout::of(&root, analysis.por.is_some());
-    let mut global = ValueInterner::new();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let shards = config
-        .shards_override
-        .unwrap_or_else(|| threads.min(cores))
-        .max(1);
-    let mut visited = ShardedStateTable::new(
-        shards,
-        config.storage,
-        config.spill_threshold.unwrap_or(DEFAULT_SPILL_THRESHOLD),
-    );
-    let mut witness = WitnessLog::new();
-    let mut budget = ByteBudget::new(config.max_bytes);
-    let mut root_perm: Option<Box<[u8]>> = None;
-    let mut leaves = 0usize;
-    let crashes = CrashedSet::new(&root, &mut global);
-    let por = analysis
-        .por
-        .as_ref()
-        .map(|a| PorEngine::new(a.clone(), &mut global));
-    stats.frontier = true;
-    stats.max_level_workers = 1;
-    stats.shards = shards;
-    stats.por = por.is_some();
-
-    let outcome = 'search: {
-        // The root: resolved and inserted serially.
-        if config.max_states == 0 {
-            break 'search ExploreOutcome::Truncated { states: 0 };
-        }
-        let mut expand: Vec<ExpandNode> = {
-            let mut root_key = layout.key_of(&root, |v| global.intern(v));
-            if let Some(spec) = spec {
-                validate_symmetry(&root, spec, analysis.footprint.as_ref());
-                root_perm = canonicalize_root(&mut root, &mut root_key, &layout, spec, &mut global);
-            }
-            if budget.charge(&root_key) {
-                // Even the root exceeds the byte cap.
-                break 'search ExploreOutcome::Truncated { states: 0 };
-            }
-            let shard = shard_for(&visited, &root_key);
-            visited.shards_mut()[shard].insert(&root_key);
-            witness.push(None, 0, None, &[], &root_key);
-            let (actions, terminal) =
-                expand_actions(&root, &root_key, &layout, &config.crash, por.as_ref());
-            if terminal {
-                leaves += leaf_weight(spec, &root, &root_key, &layout);
-                Vec::new()
-            } else if actions.is_empty() {
-                // Unreachable in practice (the root's sleep set is empty,
-                // so its persistent set survives), kept for uniformity.
-                Vec::new()
-            } else {
-                vec![(root, root_key, 0, actions)]
-            }
-        };
-
-        while !expand.is_empty() {
-            let workers = config
-                .workers_override
-                .unwrap_or_else(|| level_workers(threads, expand.len()))
-                .clamp(1, threads.max(1));
-            let result = if workers == 1 {
-                run_level_fused(
-                    &expand,
-                    &layout,
-                    &crashes,
-                    config,
-                    spec,
-                    indep,
-                    por.as_ref(),
-                    &mut global,
-                    &mut visited,
-                    &mut witness,
-                    &mut budget,
-                    &mut leaves,
-                )
-            } else {
-                run_level_staged(
-                    &expand,
-                    workers,
-                    &layout,
-                    &crashes,
-                    config,
-                    spec,
-                    indep,
-                    por.as_ref(),
-                    &mut global,
-                    &mut visited,
-                    &mut witness,
-                    &mut budget,
-                    &mut leaves,
-                    stats,
-                )
-            };
-            match result {
-                LevelResult::Next(next) => expand = next,
-                LevelResult::Truncated => {
-                    break 'search ExploreOutcome::Truncated {
-                        states: witness.len(),
-                    };
-                }
-                LevelResult::Violations(violations) => {
-                    // The witness log is deterministic, so every
-                    // reconstructed schedule is; the lexicographically
-                    // least of the shallowest violating level is the
-                    // canonical witness (compared *after* renaming to
-                    // original process ids).
-                    break 'search violations
-                        .into_iter()
-                        .map(|v| {
-                            let (mut schedule, m) =
-                                schedule_to(&witness, root_perm.as_deref(), v.parent);
-                            schedule.push(rename_action(v.action, m.as_deref()));
-                            (schedule, v.kind, v.outputs)
-                        })
-                        .min_by(|a, b| a.0.cmp(&b.0))
-                        .map(|(schedule, kind, outputs)| ExploreOutcome::Violation {
-                            kind,
-                            schedule,
-                            outputs,
-                        })
-                        .expect("non-empty violations");
-                }
-            }
-        }
-
-        ExploreOutcome::Verified {
-            states: witness.len(),
-            leaves,
-        }
-    };
-    stats.interned_bytes = global.approx_bytes();
-    stats.table_bytes = visited.resident_bytes();
-    stats.peak_table_bytes = visited.peak_resident_bytes();
-    stats.spilled_bytes = visited.spilled_bytes();
-    stats.filter_occupancy = visited.filter_bits_set();
-    stats.witness_bytes = witness.bytes();
-    outcome
-}
-
-/// Dispatches a rooted search to the serial DFS or parallel frontier
-/// engine, normalizing a trivial [`SymmetrySpec`] away so the
-/// symmetry-off hot paths stay untouched.
-fn dispatch(
-    root: SysState,
-    config: &ExploreConfig,
-    spec: Option<&SymmetrySpec>,
-    analysis: &AnalysisCtx,
-) -> (ExploreOutcome, ExploreStats) {
-    let spec = spec.filter(|s| !s.is_trivial());
-    let mut stats = ExploreStats {
-        frontier: false,
-        max_level_workers: 1,
-        shards: 0,
+    let stats = ExploreStats {
         symmetry: spec.is_some(),
-        por: analysis.por.is_some(),
-        storage: config.storage,
-        ..ExploreStats::default()
-    };
-    // A `max_bytes` cap routes even serial requests through the
-    // frontier engine: its canonical acceptance order is
-    // thread-count-invariant, so the byte-truncation point is identical
-    // at every thread count (the serial DFS accepts in depth-first
-    // order and would truncate at a different state).
-    let outcome = if config.threads > 1 || config.max_bytes.is_some() {
-        explore_frontier(
-            root,
-            config,
-            config.threads.max(1),
-            spec,
-            analysis,
-            &mut stats,
-        )
-    } else {
-        explore_serial(root, config, spec, analysis, &mut stats)
+        por: por.is_some(),
+        interned_bytes: engine.interner.approx_bytes(),
+        table_bytes: engine.visited.resident_bytes(),
+        peak_table_bytes: engine.visited.peak_resident_bytes(),
+        spilled_bytes: engine.visited.spilled_bytes(),
+        witness_bytes: engine.witness.bytes(),
     };
     (outcome, stats)
 }
 
 /// Exhaustively explores every execution of the system produced by
-/// `factory` under `config`'s adversary. Dispatches to the serial DFS
-/// engine, or to the parallel frontier engine when
-/// [`ExploreConfig::threads`] ` > 1`.
+/// `factory` under `config`'s adversary.
 pub fn explore(factory: &SystemFactory<'_>, config: &ExploreConfig) -> ExploreOutcome {
     explore_with_stats(factory, config).0
 }
 
 /// [`explore`], additionally reporting [`ExploreStats`] about how the
-/// search executed (which engine, how wide the pipeline fanned out).
+/// search executed (active reductions, memory accounts).
 pub fn explore_with_stats(
     factory: &SystemFactory<'_>,
     config: &ExploreConfig,
 ) -> (ExploreOutcome, ExploreStats) {
     let (mem, programs) = factory();
     let analysis = prepare_analysis(&mem, &programs, config, None);
-    dispatch(SysState::root(mem, programs), config, None, &analysis)
+    explore_serial(SysState::root(mem, programs), config, None, &analysis)
 }
 
 /// [`explore`] with **process-symmetry reduction**: the factory also
 /// declares a [`SymmetrySpec`] naming which process ids are
-/// interchangeable, and the engines store only one canonical
+/// interchangeable, and the engine stores only one canonical
 /// representative per permutation class. Verdicts are identical to the
 /// plain search, leaf counts are identical (canonical leaves are
 /// weighted by their class size), state counts shrink by up to the
@@ -3270,36 +2386,11 @@ pub fn explore_symmetric_with_stats(
 ) -> (ExploreOutcome, ExploreStats) {
     let (mem, programs, spec) = factory();
     let analysis = prepare_analysis(&mem, &programs, config, Some(&spec));
-    dispatch(
+    explore_serial(
         SysState::root(mem, programs),
         config,
         Some(&spec),
         &analysis,
-    )
-}
-
-/// [`explore`] in parallel frontier mode: uses
-/// [`ExploreConfig::threads`] workers, or every available CPU when the
-/// config says serial. Verdicts, state counts, leaf counts and
-/// truncation counts are byte-identical to [`explore`]'s for any
-/// verifying or truncating search (see the module docs for the one
-/// place a capped *violating* search may differ).
-pub fn explore_parallel(factory: &SystemFactory<'_>, config: &ExploreConfig) -> ExploreOutcome {
-    let threads = if config.threads > 1 {
-        config.threads
-    } else {
-        std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get)
-    };
-    let (mem, programs) = factory();
-    let analysis = prepare_analysis(&mem, &programs, config, None);
-    let mut stats = ExploreStats::default();
-    explore_frontier(
-        SysState::root(mem, programs),
-        config,
-        threads.max(2),
-        None,
-        &analysis,
-        &mut stats,
     )
 }
 
@@ -3717,12 +2808,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more than one shared-memory write")]
-    fn frontier_engine_rejects_two_writes_in_one_step() {
-        explore_parallel(&double_writer_factory, &ExploreConfig::default());
-    }
-
-    #[test]
     fn verifies_trivial_agreeing_system() {
         let outcome = explore(
             &|| {
@@ -3957,161 +3042,8 @@ mod tests {
         assert!(outcome.is_verified(), "{outcome:?}");
     }
 
-    /// Serial and parallel engines agree on verdicts, state counts and
-    /// leaf counts, at several thread (and therefore shard) counts.
-    #[test]
-    fn parallel_engine_matches_serial() {
-        let factory = forgetful_factory;
-        for after_decide in [false, true] {
-            let config = ExploreConfig {
-                crash: CrashModel::independent(2).after_decide(after_decide),
-                ..ExploreConfig::default()
-            };
-            let serial = explore(&factory, &config);
-            for threads in [2usize, 3, 4] {
-                let parallel = explore_parallel(
-                    &factory,
-                    &ExploreConfig {
-                        threads,
-                        ..config.clone()
-                    },
-                );
-                match (&serial, &parallel) {
-                    (
-                        ExploreOutcome::Verified { states, leaves },
-                        ExploreOutcome::Verified {
-                            states: p_states,
-                            leaves: p_leaves,
-                        },
-                    ) => {
-                        assert_eq!(states, p_states, "threads {threads}");
-                        assert_eq!(leaves, p_leaves, "threads {threads}");
-                    }
-                    (
-                        ExploreOutcome::Violation { kind, .. },
-                        ExploreOutcome::Violation { kind: p_kind, .. },
-                    ) => {
-                        assert_eq!(kind, p_kind, "threads {threads}");
-                    }
-                    other => panic!("engines disagree: {other:?}"),
-                }
-            }
-        }
-    }
-
-    /// The parallel engine's `max_states` cap is exact and byte-identical
-    /// to the serial engine's at every boundary: below, at and above the
-    /// state-space size.
-    #[test]
-    fn parallel_state_cap_matches_serial_exactly() {
-        let factory = forgetful_factory;
-        let base = ExploreConfig {
-            crash: CrashModel::independent(1).after_decide(false),
-            ..ExploreConfig::default()
-        };
-        let total = match explore(&factory, &base) {
-            ExploreOutcome::Verified { states, .. } => states,
-            other => panic!("expected verified, got {other:?}"),
-        };
-        for cap in [1, 2, total - 1, total, total + 1] {
-            let config = ExploreConfig {
-                max_states: cap,
-                ..base.clone()
-            };
-            let serial = explore(&factory, &config);
-            for threads in [2usize, 3, 4] {
-                let parallel = explore(
-                    &factory,
-                    &ExploreConfig {
-                        threads,
-                        ..config.clone()
-                    },
-                );
-                assert_eq!(serial, parallel, "cap {cap}, threads {threads}");
-            }
-            if cap >= total {
-                assert!(serial.is_verified(), "cap {cap}: {serial:?}");
-            } else {
-                assert_eq!(
-                    serial,
-                    ExploreOutcome::Truncated { states: cap },
-                    "the cap is exact"
-                );
-            }
-        }
-    }
-
-    /// The staged multi-worker pipeline — forced on, whatever this
-    /// machine's core count would select — matches the serial engine
-    /// byte-for-byte: verdicts, state counts, leaf counts, truncation
-    /// counts and violation witnesses, at several worker counts and cap
-    /// boundaries. (The public entry points pick fused vs staged by
-    /// core count; this pins the staged path itself.)
-    #[test]
-    fn staged_pipeline_matches_serial_at_forced_worker_counts() {
-        let factory = forgetful_factory;
-        let base = ExploreConfig {
-            crash: CrashModel::independent(2).after_decide(false),
-            ..ExploreConfig::default()
-        };
-        let total = match explore(&factory, &base) {
-            ExploreOutcome::Verified { states, .. } => states,
-            other => panic!("expected verified, got {other:?}"),
-        };
-        let mut configs = vec![base.clone()];
-        for cap in [2usize, total - 1, total] {
-            configs.push(ExploreConfig {
-                max_states: cap,
-                ..base.clone()
-            });
-        }
-        // A violating config: post-decide crashes expose the re-run
-        // disagreement the forgetful decider is built to exhibit.
-        configs.push(ExploreConfig {
-            crash: CrashModel::independent(2).after_decide(true),
-            ..base.clone()
-        });
-        for config in configs {
-            let serial = explore(&factory, &config);
-            for (workers, shards) in [(2usize, 2usize), (3, 3), (4, 2), (3, 5)] {
-                let forced = ExploreConfig {
-                    threads: 4,
-                    workers_override: Some(workers),
-                    shards_override: Some(shards),
-                    ..config.clone()
-                };
-                let (staged, stats) = explore_with_stats(&factory, &forced);
-                assert!(stats.frontier, "threads 4 must select the frontier engine");
-                assert_eq!(stats.shards, shards, "forced shard count must be honoured");
-                if serial.is_violation() {
-                    // DFS and frontier order legitimately pick different
-                    // (both valid) witnesses; the frontier pick itself
-                    // must not depend on worker or shard counts.
-                    let reference = explore(
-                        &factory,
-                        &ExploreConfig {
-                            threads: 4,
-                            workers_override: Some(2),
-                            shards_override: Some(2),
-                            ..config.clone()
-                        },
-                    );
-                    assert_eq!(reference, staged, "workers {workers} shards {shards}");
-                    assert!(
-                        staged.is_violation(),
-                        "workers {workers} shards {shards}: {staged:?}"
-                    );
-                } else {
-                    assert_eq!(serial, staged, "workers {workers} shards {shards}");
-                }
-            }
-        }
-    }
-
     /// Symmetry reduction on a fully symmetric system: same verdict,
-    /// identical (weighted) leaf counts, strictly fewer states — in the
-    /// serial engine and in the frontier engine at several thread
-    /// counts, byte-identically.
+    /// identical (weighted) leaf counts, strictly fewer states.
     #[test]
     fn symmetry_reduces_states_and_preserves_leaves() {
         #[derive(Clone, Debug)]
@@ -4175,18 +3107,6 @@ mod tests {
                 );
             }
             other => panic!("expected verified, got {other:?}"),
-        }
-        for threads in [2usize, 3, 4] {
-            let parallel = explore_symmetric(
-                &symmetric,
-                &ExploreConfig {
-                    threads,
-                    workers_override: Some(threads),
-                    shards_override: Some(threads),
-                    ..config.clone()
-                },
-            );
-            assert_eq!(on, parallel, "threads {threads}");
         }
     }
 
@@ -4272,36 +3192,28 @@ mod tests {
             let (mem, programs) = plain();
             (mem, programs, SymmetrySpec::from_classes(&inputs))
         };
-        for threads in [1usize, 2, 4] {
-            let config = ExploreConfig {
-                threads,
-                workers_override: (threads > 1).then_some(threads),
-                shards_override: (threads > 1).then_some(threads),
-                ..ExploreConfig::default()
-            };
-            let outcome = explore_symmetric(&symmetric, &config);
-            let (schedule, outputs) = match outcome {
-                ExploreOutcome::Violation {
-                    kind: ViolationKind::Agreement,
-                    schedule,
-                    outputs,
-                } => (schedule, outputs),
-                other => panic!("expected agreement violation, got {other:?}"),
-            };
-            // Replay the schedule on the original (un-permuted) system.
-            let (mut mem, mut programs) = plain();
-            let mut sched = ScriptedScheduler::then_finish(schedule.clone());
-            let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
-            let mut decisions: Vec<Value> = exec.outputs.iter().flatten().cloned().collect();
-            decisions.sort();
-            decisions.dedup();
-            assert!(
-                decisions.len() >= 2,
-                "threads {threads}: replayed schedule {schedule:?} must \
-                 reproduce the disagreement, decided {decisions:?}"
-            );
-            assert_eq!(outputs.len(), 2, "threads {threads}");
-        }
+        let outcome = explore_symmetric(&symmetric, &ExploreConfig::default());
+        let (schedule, outputs) = match outcome {
+            ExploreOutcome::Violation {
+                kind: ViolationKind::Agreement,
+                schedule,
+                outputs,
+            } => (schedule, outputs),
+            other => panic!("expected agreement violation, got {other:?}"),
+        };
+        // Replay the schedule on the original (un-permuted) system.
+        let (mut mem, mut programs) = plain();
+        let mut sched = ScriptedScheduler::then_finish(schedule.clone());
+        let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
+        let mut decisions: Vec<Value> = exec.outputs.iter().flatten().cloned().collect();
+        decisions.sort();
+        decisions.dedup();
+        assert!(
+            decisions.len() >= 2,
+            "replayed schedule {schedule:?} must \
+             reproduce the disagreement, decided {decisions:?}"
+        );
+        assert_eq!(outputs.len(), 2);
     }
 
     /// A mask-register-style program: writes its *own* register (owned,
@@ -4361,8 +3273,7 @@ mod tests {
     /// without the owned-cell declaration the registers distinguish the
     /// processes (orbits must be singletons — no reduction); with it,
     /// cells permute with their owners and programs are rebound, so the
-    /// orbit collapses. Verdicts and weighted leaf counts are identical,
-    /// byte-identically across engines and thread counts.
+    /// orbit collapses. Verdicts and weighted leaf counts are identical.
     #[test]
     fn owned_cell_orbits_reduce_and_preserve_leaves() {
         let n = 3;
@@ -4400,18 +3311,6 @@ mod tests {
                 assert_eq!(*leaves, off_leaves, "weighted leaves must match");
             }
             other => panic!("expected verified, got {other:?}"),
-        }
-        for threads in [2usize, 3, 4] {
-            let parallel = explore_symmetric(
-                &rebind,
-                &ExploreConfig {
-                    threads,
-                    workers_override: Some(threads),
-                    shards_override: Some(threads),
-                    ..config.clone()
-                },
-            );
-            assert_eq!(on, parallel, "threads {threads}");
         }
     }
 
@@ -4616,7 +3515,7 @@ mod tests {
 
     /// The dynamic cross-validation of the static independence relation
     /// accepts a genuinely independent system (disjoint write/access
-    /// footprints) on both engines, with outcomes unchanged.
+    /// footprints), with outcomes unchanged.
     #[test]
     fn cross_validation_accepts_independent_steps() {
         let factory = || {
@@ -4644,17 +3543,8 @@ mod tests {
         };
         let baseline = explore(&factory, &plain);
         assert!(matches!(baseline, ExploreOutcome::Verified { .. }));
-        // Threads 1 (serial engine), 2 and 8 (frontier engine): the
-        // commutation assertion runs at every expanded node in each.
-        for threads in [1usize, 2, 8] {
-            let parallel = ExploreConfig {
-                threads,
-                workers_override: Some(threads),
-                shards_override: Some(2),
-                ..checked.clone()
-            };
-            assert_eq!(baseline, explore(&factory, &parallel), "threads={threads}");
-        }
+        // The commutation assertion runs at every expanded node.
+        assert_eq!(baseline, explore(&factory, &checked));
     }
 
     /// An inert owned declaration (all orbits singletons) changes
@@ -4684,10 +3574,10 @@ mod tests {
         assert_eq!(outcome, explore(&plain, &config));
     }
 
-    /// The parallel engine's violation pick is deterministic across
-    /// repeated runs and thread counts.
+    /// The reported violation schedule is deterministic across repeated
+    /// runs.
     #[test]
-    fn parallel_violation_is_deterministic() {
+    fn violation_schedule_is_deterministic() {
         let factory = || {
             let mem = Memory::new();
             let programs: Vec<Box<dyn Program>> = vec![
@@ -4704,14 +3594,8 @@ mod tests {
             (mem, programs)
         };
         let mut schedules = Vec::new();
-        for threads in [2usize, 3, 4, 2, 3, 4] {
-            match explore(
-                &factory,
-                &ExploreConfig {
-                    threads,
-                    ..ExploreConfig::default()
-                },
-            ) {
+        for _ in 0..4 {
+            match explore(&factory, &ExploreConfig::default()) {
                 ExploreOutcome::Violation { schedule, .. } => schedules.push(schedule),
                 other => panic!("expected violation, got {other:?}"),
             }
@@ -4824,13 +3708,12 @@ mod tests {
     }
 
     /// POR on the fully independent own-register system: same verdict
-    /// and leaf count as the unreduced search, strictly fewer states —
-    /// in the serial engine and byte-identically in the frontier engine
-    /// at several thread counts. (Budget 0: every node is crash-free,
-    /// so the interleaving reduction is undiluted; with a live crash
-    /// budget the crash-enabled layer is fully expanded by design and
-    /// its crash children cover most of the crash-free layer, see the
-    /// budget-1 equality check at the end.)
+    /// and leaf count as the unreduced search, strictly fewer states.
+    /// (Budget 0: every node is crash-free, so the interleaving
+    /// reduction is undiluted; with a live crash budget the
+    /// crash-enabled layer is fully expanded by design and its crash
+    /// children cover most of the crash-free layer, see the budget-1
+    /// equality check at the end.)
     #[test]
     fn por_reduces_states_and_preserves_leaves() {
         let factory = || {
@@ -4861,18 +3744,6 @@ mod tests {
                 assert_eq!(*leaves, off_leaves, "leaf counts must stay exact");
             }
             other => panic!("expected verified, got {other:?}"),
-        }
-        for threads in [2usize, 8] {
-            let parallel = explore(
-                &factory,
-                &ExploreConfig {
-                    threads,
-                    workers_override: Some(threads),
-                    shards_override: Some(2),
-                    ..reduced.clone()
-                },
-            );
-            assert_eq!(on, parallel, "threads {threads}");
         }
         // With a live crash budget the verdict and leaf count are still
         // exact (states may not shrink: crash-enabled nodes expand
@@ -4922,9 +3793,8 @@ mod tests {
         assert_eq!(off, on, "a conflict-saturated system admits no pruning");
     }
 
-    /// Truncating caps stay exact under POR — `Truncated {{ states }}`
-    /// equals the cap, matching the unreduced engine's report — and the
-    /// serial and frontier engines agree byte-for-byte.
+    /// Truncating caps stay exact under POR: `Truncated {{ states }}`
+    /// equals the cap, matching the unreduced search's report.
     #[test]
     fn por_truncation_cap_is_exact_across_engines() {
         let factory = || {
@@ -4957,24 +3827,12 @@ mod tests {
                 },
             );
             assert_eq!(serial, unreduced, "cap {cap}");
-            for threads in [2usize, 8] {
-                let parallel = explore(
-                    &factory,
-                    &ExploreConfig {
-                        threads,
-                        workers_override: Some(threads),
-                        shards_override: Some(2),
-                        ..capped.clone()
-                    },
-                );
-                assert_eq!(serial, parallel, "cap {cap}, threads {threads}");
-            }
         }
     }
 
     /// POR composes with full-state rebind symmetry: the combined
     /// search keeps the exact leaf count and visits fewer states than
-    /// either reduction alone, byte-identically across engines.
+    /// either reduction alone.
     #[test]
     fn por_composes_with_rebind_symmetry() {
         let n = 3;
@@ -5017,18 +3875,6 @@ mod tests {
             "the reductions must compose: por {por_states}, symmetry \
              {sym_states}, both {both_states} (unreduced {off_states})"
         );
-        for threads in [2usize, 8] {
-            let parallel = explore_symmetric(
-                &rebind,
-                &ExploreConfig {
-                    threads,
-                    workers_override: Some(threads),
-                    shards_override: Some(2),
-                    ..reduced.clone()
-                },
-            );
-            assert_eq!(combined, parallel, "threads {threads}");
-        }
     }
 
     /// A spinning read loop (cyclic step graph) makes the crash-free
@@ -5163,14 +4009,14 @@ mod tests {
         let crashes = CrashedSet::new(&root, &mut interner);
         let model = CrashModel::independent(2).after_decide(true);
         let layout = KeyLayout::of(&root, false);
-        let mut seen = StateTable::new();
+        let mut seen = std::collections::HashSet::new();
         let mut states = Vec::new();
         let mut seed = 0x2545_f491_4f6c_dd1d_u64;
         for _ in 0..rounds {
             let mut state = root.clone();
             loop {
                 let key = layout.key_of(&state, |v| interner.intern(v));
-                if seen.insert(&key).1 {
+                if seen.insert(key) {
                     let sleep = xorshift(&mut seed) & ((1 << layout.n) - 1);
                     states.push((state.clone(), sleep));
                 }
@@ -5312,7 +4158,7 @@ mod tests {
             &crashes,
             None,
             &mut child_key,
-            |key, pos, value| key[pos] = interner.intern(value),
+            &mut interner,
         )
         .expect("no decision yet");
         assert!(

@@ -6,46 +6,19 @@
 //! entire shared memory, every program's volatile state and the decided
 //! value, then hashed those deep structures with the default `SipHash`.
 //!
-//! This module replaces that with two layers:
+//! [`ValueInterner`] replaces them: it hash-conses [`Value`]s into dense
+//! `u32` ids. Each distinct value is cloned **once** ever; subsequent
+//! probes hash the (typically tiny) value and compare ids. Interning is
+//! injective: `intern(a) == intern(b)` **iff** `a == b` — so keys built
+//! from ids are exactly as collision-free as the structural tuples they
+//! replace (property-tested in `tests/proptest_runtime.rs`). The flat
+//! `u32` keys built from the ids are deduplicated by the packed visited
+//! set ([`PackedStateTable`](crate::PackedStateTable)).
 //!
-//! * [`ValueInterner`] — hash-conses [`Value`]s into dense `u32` ids.
-//!   Each distinct value is cloned **once** ever; subsequent probes hash
-//!   the (typically tiny) value and compare ids. Interning is injective:
-//!   `intern(a) == intern(b)` **iff** `a == b` — so keys built from ids
-//!   are exactly as collision-free as the structural tuples they replace
-//!   (property-tested in `tests/proptest_runtime.rs`).
-//! * [`StateTable`] — deduplicates flat `&[u32]` state keys (interned
-//!   memory cells, program keys, packed decided bits, crash count,
-//!   decided value) into dense node indices, which double as the parent
-//!   pointers the checker uses to reconstruct violation schedules.
-//!
-//! Both use [`FxHasher`], the Firefox/rustc multiply-rotate hash — far
-//! cheaper than `SipHash` for short keys and not exposed to untrusted
-//! input here.
-//!
-//! ## Sharded operation
-//!
-//! The parallel frontier engine deduplicates each breadth-first level
-//! across worker threads. Two extra pieces make that sound:
-//!
-//! * [`ShardInterner`] — a worker-local overflow interner. During a
-//!   parallel phase the global [`ValueInterner`] is frozen (read-only via
-//!   [`lookup`](ValueInterner::lookup)); values not yet globally interned
-//!   get *local* ids from the worker's `ShardInterner`. A serial
-//!   reconciliation pass then maps local ids to fresh global ids **in the
-//!   worker's first-use order, walked in canonical item order** — which
-//!   reproduces, bit for bit, the ids a single serial interner would have
-//!   assigned processing the same items in the same order
-//!   (property-tested in `tests/proptest_runtime.rs`).
-//! * [`ShardedStateTable`] — the visited set split into `shards`
-//!   independent [`StateTable`]s, routed by a hash of the *resolved*
-//!   key. Because reconciled ids are canonical-order-deterministic,
-//!   every duplicate of a state carries the identical resolved key and
-//!   lands in the same shard whatever the thread count — so per-shard
-//!   insertion is exact global dedup and the engine stays deterministic
-//!   across thread counts.
+//! The interner hashes with [`FxHasher`], the Firefox/rustc
+//! multiply-rotate hash — far cheaper than `SipHash` for short keys and
+//! not exposed to untrusted input here.
 
-use crate::storage::{StorageTier, VisitedTable};
 use rc_spec::Value;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -162,6 +135,10 @@ impl ValueInterner {
     /// [`intern`](Self::intern).
     pub const NONE: u32 = u32::MAX;
 
+    /// Approximate per-entry map overhead beyond the value payload: the
+    /// `u32` id, the reverse-map slot and hash-bucket slack.
+    const ENTRY_OVERHEAD: usize = 40;
+
     /// Creates an empty interner.
     pub fn new() -> Self {
         ValueInterner::default()
@@ -181,7 +158,7 @@ impl ValueInterner {
         }
         let id = u32::try_from(self.ids.len()).expect("interner overflow");
         assert!(id < Self::NONE, "interner overflow");
-        self.bytes += approx_value_bytes(value) + StateTable::ENTRY_OVERHEAD;
+        self.bytes += approx_value_bytes(value) + Self::ENTRY_OVERHEAD;
         self.ids.insert(value.clone(), id);
         self.values.push(value.clone());
         id
@@ -219,9 +196,7 @@ impl ValueInterner {
         self.bytes
     }
 
-    /// Read-only probe: the id of `value` if it has been interned. The
-    /// parallel engine's workers resolve against a frozen interner with
-    /// this; misses go to a worker-local [`ShardInterner`].
+    /// Read-only probe: the id of `value` if it has been interned.
     pub fn lookup(&self, value: &Value) -> Option<u32> {
         self.ids.get(value).copied()
     }
@@ -234,251 +209,6 @@ impl ValueInterner {
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-}
-
-/// Where a value resolved during a frozen-interner phase lives: already
-/// in the global [`ValueInterner`], or pending in the worker's
-/// [`ShardInterner`] until the serial reconciliation pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Resolved {
-    /// The value's stable global id.
-    Global(u32),
-    /// A worker-local id, valid only within the worker's
-    /// [`ShardInterner`] for the current level.
-    Local(u32),
-}
-
-/// A worker-local overflow interner for one parallel phase.
-///
-/// While the global [`ValueInterner`] is frozen, each expansion worker
-/// resolves values through [`resolve`](Self::resolve): known values
-/// yield their global id, unseen values are interned locally. After the
-/// parallel phase, the (serial) reconciliation pass walks items in
-/// canonical order and promotes each local value to a global id with
-/// [`ValueInterner::intern`] — first use wins, exactly as if one serial
-/// interner had processed the items in that order, so the final keys are
-/// bit-identical to the single-interner path.
-#[derive(Clone, Debug, Default)]
-pub struct ShardInterner {
-    /// Keys shared with `values` via `Arc`, so a first-seen value is
-    /// deep-cloned exactly once.
-    ids: FxHashMap<std::sync::Arc<Value>, u32>,
-    values: Vec<std::sync::Arc<Value>>,
-}
-
-impl ShardInterner {
-    /// Creates an empty local interner.
-    pub fn new() -> Self {
-        ShardInterner::default()
-    }
-
-    /// Resolves `value` against the frozen `global` interner, interning
-    /// it locally on a miss.
-    pub fn resolve(&mut self, global: &ValueInterner, value: &Value) -> Resolved {
-        match global.lookup(value) {
-            Some(id) => Resolved::Global(id),
-            None => Resolved::Local(self.intern_local(value)),
-        }
-    }
-
-    /// Interns `value` locally, returning its dense local id. First-seen
-    /// values are deep-cloned once (then shared between the map and the
-    /// id-indexed vector).
-    pub fn intern_local(&mut self, value: &Value) -> u32 {
-        if let Some(&id) = self.ids.get(value) {
-            return id;
-        }
-        let id = u32::try_from(self.ids.len()).expect("shard interner overflow");
-        let shared = std::sync::Arc::new(value.clone());
-        self.values.push(shared.clone());
-        self.ids.insert(shared, id);
-        id
-    }
-
-    /// The value behind a local id (for reconciliation into the global
-    /// interner).
-    pub fn value(&self, local: u32) -> &Value {
-        self.values[local as usize].as_ref()
-    }
-
-    /// Number of locally interned values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether nothing was interned locally.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
-/// Deduplicates flat `u32` state keys into dense node indices.
-///
-/// The checker's visited set: [`insert`](Self::insert) returns the
-/// node's index plus whether it was new. Indices are handed out in
-/// insertion order, so they directly index the checker's parallel
-/// parent-link arrays.
-#[derive(Clone, Debug, Default)]
-pub struct StateTable {
-    ids: FxHashMap<Box<[u32]>, u32>,
-    /// Approximate resident bytes: key words plus per-entry map
-    /// overhead, accumulated on insert (see
-    /// [`approx_bytes`](Self::approx_bytes)).
-    bytes: usize,
-}
-
-impl StateTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        StateTable::default()
-    }
-
-    /// Looks up `key` without inserting.
-    pub fn get(&self, key: &[u32]) -> Option<u32> {
-        self.ids.get(key).copied()
-    }
-
-    /// Inserts `key`, returning `(index, was_new)`. The key slice is
-    /// boxed only when new.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u32::MAX` distinct keys are inserted.
-    pub fn insert(&mut self, key: &[u32]) -> (u32, bool) {
-        if let Some(&id) = self.ids.get(key) {
-            return (id, false);
-        }
-        let id = u32::try_from(self.ids.len()).expect("state table overflow");
-        self.bytes += key.len() * 4 + Self::ENTRY_OVERHEAD;
-        self.ids.insert(key.into(), id);
-        (id, true)
-    }
-
-    /// Approximate per-entry map overhead beyond the key words: the
-    /// boxed slice's pointer + length, the `u32` id and hash-bucket
-    /// slack.
-    const ENTRY_OVERHEAD: usize = 40;
-
-    /// Approximate resident bytes of the table (key words + per-entry
-    /// overhead). Deterministic — a pure function of the inserted keys —
-    /// so it can feed the memory counters in
-    /// [`ExploreStats`](crate::ExploreStats) without perturbing
-    /// cross-engine equivalence.
-    pub fn approx_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Number of distinct keys inserted.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the table is empty. Kept for API symmetry with
-    /// [`len`](Self::len); only tests exercise it today.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
-/// The visited set split into independent shards for parallel dedup.
-///
-/// States are routed by a hash of their **resolved** key (see
-/// `key_route` in the explore module); resolved keys are deterministic
-/// across runs and thread counts, so every duplicate of a state maps to
-/// the same shard — per-shard insertion is then exact global
-/// deduplication. Node indices are *not* assigned here: the engine's
-/// serial reconciliation pass maps each shard's inserts into the one
-/// global node-index space in canonical frontier order, which keeps
-/// parent links and schedule reconstruction byte-deterministic across
-/// runs and thread counts.
-///
-/// Each shard is a [`VisitedTable`] — the flat map or the packed tiered
-/// table, per the configured [`StorageTier`]. Every tier satisfies the
-/// same `get`/`insert` contract exactly, so shard routing, the frozen
-/// `contains` probes and index reconciliation are tier-oblivious.
-#[derive(Debug)]
-pub struct ShardedStateTable {
-    shards: Vec<VisitedTable>,
-}
-
-impl ShardedStateTable {
-    /// Creates a table with `shards` empty shards of the given storage
-    /// tier; `spill_threshold` is the per-shard resident-arena bytes
-    /// that trigger a disk freeze (spill tier only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize, tier: StorageTier, spill_threshold: usize) -> Self {
-        assert!(shards > 0, "a sharded table needs at least one shard");
-        ShardedStateTable {
-            shards: (0..shards)
-                .map(|_| VisitedTable::new(tier, spill_threshold))
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a content-routed key belongs to.
-    pub fn shard_of(&self, route: u64) -> usize {
-        (route % self.shards.len() as u64) as usize
-    }
-
-    /// Read-only membership probe in one shard (used by expansion
-    /// workers to drop already-visited children while the table is
-    /// frozen).
-    pub fn contains(&self, shard: usize, key: &[u32]) -> bool {
-        self.shards[shard].get(key).is_some()
-    }
-
-    /// Mutable access to every shard, for the parallel insert phase
-    /// (each worker owns exactly one `&mut VisitedTable`).
-    pub fn shards_mut(&mut self) -> &mut [VisitedTable] {
-        &mut self.shards
-    }
-
-    /// Total number of distinct keys across all shards. The engine
-    /// tracks its accepted-node count separately (shards may hold
-    /// entries past a truncation cut); kept for tests and diagnostics.
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(VisitedTable::len).sum()
-    }
-
-    /// Whether every shard is empty.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.len() == 0)
-    }
-
-    /// Summed resident bytes across shards (final, not peak).
-    pub fn resident_bytes(&self) -> usize {
-        self.shards.iter().map(VisitedTable::resident_bytes).sum()
-    }
-
-    /// Summed per-shard peak resident bytes (each shard's high-water
-    /// mark; resident usage drops at spill freezes).
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(VisitedTable::peak_resident_bytes)
-            .sum()
-    }
-
-    /// Total bytes written to spill runs across shards.
-    pub fn spilled_bytes(&self) -> usize {
-        self.shards.iter().map(VisitedTable::spilled_bytes).sum()
-    }
-
-    /// Total prefilter bits set across shards.
-    pub fn filter_bits_set(&self) -> usize {
-        self.shards.iter().map(VisitedTable::filter_bits_set).sum()
     }
 }
 
@@ -520,7 +250,9 @@ mod tests {
 
     #[test]
     fn state_table_dedups_and_indexes_in_insertion_order() {
-        let mut table = StateTable::new();
+        // The visited set the id keys go into hands out dense state
+        // indices in first-insertion order and reports repeats.
+        let mut table = crate::PackedStateTable::new(None);
         assert!(table.is_empty());
         assert_eq!(table.insert(&[1, 2, 3]), (0, true));
         assert_eq!(table.insert(&[1, 2, 4]), (1, true));
@@ -529,6 +261,20 @@ mod tests {
         assert_eq!(table.len(), 3);
         assert_eq!(table.get(&[1, 2, 4]), Some(1));
         assert_eq!(table.get(&[9]), None);
+
+        // Keys built from interned ids: equal value tuples land on one
+        // state index, distinct ones on fresh indices.
+        let mut interner = ValueInterner::new();
+        let mut key = |values: &[Value]| -> Vec<u32> {
+            values.iter().map(|v| interner.intern(v)).collect()
+        };
+        let a = key(&[Value::Int(0), Value::sym("A")]);
+        let b = key(&[Value::sym("A"), Value::Int(0)]);
+        let a_again = key(&[Value::Int(0), Value::sym("A")]);
+        assert_eq!(table.insert(&a), (3, true));
+        assert_eq!(table.insert(&b), (4, true));
+        assert_eq!(table.insert(&a_again), (3, false));
+        assert_eq!(table.len(), 5);
     }
 
     #[test]
@@ -556,58 +302,6 @@ mod tests {
         let id = interner.intern(&v);
         assert_eq!(interner.lookup(&v), Some(id));
         assert_eq!(interner.len(), 1, "lookup must not intern");
-    }
-
-    #[test]
-    fn shard_interner_resolves_global_hits_and_local_misses() {
-        let mut global = ValueInterner::new();
-        let known = Value::Int(1);
-        let g = global.intern(&known);
-        let mut local = ShardInterner::new();
-        assert_eq!(local.resolve(&global, &known), Resolved::Global(g));
-        let fresh = Value::sym("fresh");
-        let l = match local.resolve(&global, &fresh) {
-            Resolved::Local(l) => l,
-            other => panic!("miss must go local: {other:?}"),
-        };
-        // Locally stable, idempotent.
-        assert_eq!(local.resolve(&global, &fresh), Resolved::Local(l));
-        assert_eq!(local.value(l), &fresh);
-        assert!(!local.is_empty());
-        assert_eq!(local.len(), 1);
-        // Reconciliation: promoting the local value makes later
-        // resolutions hit the global fast path with the promoted id.
-        let promoted = global.intern(local.value(l));
-        assert_eq!(local.resolve(&global, &fresh), Resolved::Global(promoted));
-    }
-
-    #[test]
-    fn sharded_table_routes_consistently_and_sums_len() {
-        for tier in StorageTier::ALL {
-            let mut table = ShardedStateTable::new(3, tier, 64);
-            assert!(table.is_empty());
-            assert_eq!(table.shard_count(), 3);
-            let keys: Vec<Vec<u32>> = (0..10u32).map(|i| vec![i, i + 1]).collect();
-            for key in &keys {
-                let route = {
-                    let mut h = FxHasher::default();
-                    for &w in key.iter() {
-                        h.write_u32(w);
-                    }
-                    h.finish()
-                };
-                let shard = table.shard_of(route);
-                assert!(shard < 3);
-                // Same route always maps to the same shard.
-                assert_eq!(shard, table.shard_of(route));
-                let (_, new) = table.shards_mut()[shard].insert(key);
-                assert!(new);
-                assert!(table.contains(shard, key));
-            }
-            assert_eq!(table.len(), keys.len(), "{tier}");
-            assert!(table.resident_bytes() > 0);
-            assert!(table.peak_resident_bytes() >= table.resident_bytes());
-        }
     }
 
     #[test]

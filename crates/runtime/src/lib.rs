@@ -33,8 +33,8 @@
 //! * [`explore`] — a bounded-exhaustive model checker: an iterative
 //!   worklist DFS over *all* interleavings and crash placements (up to a
 //!   crash budget) with hash-consed full-fidelity state memoization
-//!   ([`ValueInterner`]), an opt-in parallel frontier mode
-//!   ([`ExploreConfig::threads`]) and opt-in process-symmetry reduction
+//!   ([`ValueInterner`]) in a packed visited set that can spill to disk
+//!   ([`ExploreConfig::spill_threshold`]), opt-in process-symmetry reduction
 //!   ([`explore_symmetric`] + [`SymmetrySpec`]) — including *full-state*
 //!   symmetry, where declared per-process cells permute with their
 //!   owners and relocated programs are rebound ([`Program::rebind`] +
@@ -121,9 +121,9 @@ pub use canon::SymmetrySpec;
 pub use crash::{CrashMode, CrashModel};
 pub use exec::{run, Execution, RunOptions};
 pub use explore::{
-    explore, explore_parallel, explore_symmetric, explore_symmetric_with_stats, explore_with_stats,
-    lint_ample, AmpleLintReport, ExploreConfig, ExploreOutcome, ExploreStats,
-    SymmetricSystemFactory, SystemFactory, ViolationKind,
+    explore, explore_symmetric, explore_symmetric_with_stats, explore_with_stats, lint_ample,
+    AmpleLintReport, ExploreConfig, ExploreOutcome, ExploreStats, SymmetricSystemFactory,
+    SystemFactory, ViolationKind,
 };
 pub use footprint::{
     analysis_fixpoint_runs, analyze_system, analyze_system_states, lint_system, lint_with_analysis,
@@ -132,24 +132,19 @@ pub use footprint::{
     SystemAnalysis, SystemFootprint,
 };
 // The scalarset equivariance certifier: `lint_scalarset` is the
-// `tables lint` entry; the engines consult the cached certificate
+// `tables lint` entry; the model checker consults the cached certificate
 // internally before permuting any declared family.
-pub use scalarset::{lint_scalarset, ScalarsetReport};
-// `Resolved`/`ShardInterner` are exported for the sharded-reconciliation
-// property suite in tests/proptest_runtime.rs (and as the documented
-// worker-local overflow API); the engine-internal `ShardedStateTable`
-// deliberately is not.
-pub use intern::{Resolved, ShardInterner, ValueInterner};
+pub use intern::ValueInterner;
 pub use memory::{Addr, Cell, MemOps, Memory};
 pub use program::{Pid, Program, Rebinding, Step};
-// The tiered storage layer: the packed-key codec and prefilter are
-// exported for the property suite in tests/proptest_runtime.rs;
-// `StorageTier` is the `ExploreConfig` knob selecting the visited-set
-// backend; `WitnessLog` is the compacted parent-link log both engines
-// now build (and tests replay).
+pub use scalarset::{lint_scalarset, ScalarsetReport};
+// The storage layer: the packed-key codec, the packed visited set and
+// its spill runs' filter are exported for the property suite in
+// tests/proptest_runtime.rs; `WitnessLog` is the compacted parent-link
+// log the engine builds (and tests replay).
 pub use storage::{
     delta_decode, delta_encode, hash_packed, pack_key, pack_key_into, packed_key_len, unpack_key,
-    KeyFilter, PackedStateTable, StorageTier, WitnessLog,
+    KeyFilter, PackedStateTable, WitnessLog,
 };
 // The swarm service: the engine (`swarm`/`swarm_with_progress`), the
 // per-seed replay and the schedule shrinker, re-exported flat for the

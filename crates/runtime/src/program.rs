@@ -107,9 +107,8 @@ pub enum Step {
 ///   exhaustive exploration unsound.
 ///
 /// Programs are passive data (`Send + Sync`): nothing runs without a
-/// scheduler calling [`step`](Program::step), and the model checker's
-/// copy-on-write branching shares unstepped programs between sibling
-/// states across worker threads.
+/// scheduler calling [`step`](Program::step), and the threaded executor
+/// runs each program on its own OS thread.
 pub trait Program: fmt::Debug + Send + Sync {
     /// Executes one step (at most one shared-memory access).
     ///

@@ -74,9 +74,7 @@ use crate::program::Pid;
 /// One scheduling decision.
 ///
 /// The `Ord` instance (`Step < Branch < Crash < CrashAll`, then by
-/// pid/choice) gives schedules a canonical lexicographic order; the
-/// parallel model-checker uses it to pick a deterministic violation
-/// witness.
+/// pid/choice) gives schedules a canonical lexicographic order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Action {
     /// Let process `pid` execute one step.

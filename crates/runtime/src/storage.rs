@@ -1,10 +1,9 @@
-//! Tiered, bit-packed state storage for the exhaustive checker.
+//! Bit-packed state storage for the exhaustive checker.
 //!
-//! The visited set is the model checker's scaling wall: one flat
-//! `Box<[u32]>` per state (plus `FxHashMap` bucket overhead) caps exact
-//! verification at whatever fits in RAM. This module re-architects that
-//! storage as **tiers**, each exact, each opt-in via
-//! [`StorageTier`](crate::StorageTier):
+//! The visited set is the model checker's scaling wall: one boxed
+//! `[u32]` key per state (plus hash-map bucket overhead) caps exact
+//! verification at whatever fits in RAM. This module stores it as one
+//! packed table that can optionally spill to disk; every form is exact:
 //!
 //! * **Packed keys** — [`pack_key`] encodes each `u32` key slot as a
 //!   canonical LEB128-style varint. Interned value ids are dense and
@@ -20,114 +19,38 @@
 //! * **[`PackedStateTable`]** — an arena of packed keys plus an
 //!   8-bytes-per-slot, hash-tagged open-addressing index (kept at most
 //!   half full; the tag screens non-matching slots without touching the
-//!   arena), replacing the one-allocation-per-state `FxHashMap`. Entry
-//!   ids are handed out in insertion order, exactly like `StateTable`,
-//!   so they double as node indices.
-//! * **[`KeyFilter`]** — a seeded, deterministic Bloom prefilter in
-//!   front of the exact probes. A *miss* ("definitely never inserted")
-//!   short-circuits the probe; a *maybe* *always* falls through to the
-//!   exact tier. Verdicts therefore never depend on filter behaviour —
-//!   the filter can only skip work that would have found nothing, which
-//!   is what keeps this exact rather than bitstate/supertrace-style
-//!   approximate.
-//! * **Spill runs** — when the resident arena crosses a threshold it is
-//!   frozen into an immutable, hash-sorted *run* on disk (full packed
-//!   key bytes included, so probes compare exactly — fingerprints alone
-//!   would be approximate) and the resident tier restarts empty. The
-//!   exact set is then bounded by disk, not RAM. Spill files live in the
-//!   system temp directory and are unlinked at creation (the handle
-//!   keeps them alive), so nothing persists past the search.
+//!   arena). Entry ids are handed out in insertion order, so they double
+//!   as node indices.
+//! * **Spill runs** — with a spill threshold set, the resident arena is
+//!   frozen into an immutable, hash-sorted *run* on disk whenever it
+//!   crosses the threshold (full packed key bytes included, so probes
+//!   compare exactly — fingerprints alone would be approximate), and the
+//!   resident tier restarts empty. The exact set is then bounded by
+//!   disk, not RAM. Each run carries an in-RAM [`KeyFilter`] — a seeded,
+//!   deterministic Bloom filter whose *miss* ("definitely not in this
+//!   run") skips the run's disk reads and whose *maybe* always falls
+//!   through to the exact binary search, so it only saves work and never
+//!   decides membership. Spill files live in the system temp directory
+//!   and are unlinked at creation (the handle keeps them alive), so
+//!   nothing persists past the search.
 //! * **[`WitnessLog`]** — parent links compacted into an append-only
 //!   log: one packed `u64` per node (parent, action code, deduplicated
 //!   permutation id) plus the node's key [`delta_encode`]d against its
 //!   parent's. Schedule reconstruction and key reconstruction
 //!   ([`WitnessLog::key_of`]) need only the log — they survive the
-//!   frontier dropping in-RAM nodes between levels and the visited set
-//!   spilling to disk.
+//!   visited set spilling to disk.
 //!
 //! Determinism: every structure here is a pure function of the insertion
 //! sequence (seeded hashes, load-factor and spill thresholds checked in
-//! insertion order), and the engines drive insertions in canonical
-//! order at every thread count — so outcomes stay byte-identical across
-//! runs, thread counts and storage tiers (asserted end to end in
-//! `tests/explore_engine.rs`).
+//! insertion order), so outcomes are identical with and without
+//! spilling (asserted end to end in `tests/explore_engine.rs`).
 
-use crate::intern::{FxHashMap, FxHasher, StateTable};
+use crate::intern::{FxHashMap, FxHasher};
 use std::fs::File;
 use std::hash::Hasher;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Which storage backend the visited set uses. Every tier is **exact**
-/// — identical verdicts, state counts, leaf counts and witnesses — the
-/// tiers trade probe cost against resident memory. See the module docs
-/// for the exactness argument.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StorageTier {
-    /// The flat `FxHashMap<Box<[u32]>, u32>` table (the historical
-    /// layout; one heap allocation per state). The opt-out from the
-    /// packed default.
-    Flat,
-    /// Bit-packed keys in an arena behind an open-addressing index.
-    /// The [`ExploreConfig`](crate::ExploreConfig) default — parity
-    /// with `Flat` is asserted across the E16 tier × thread grid.
-    #[default]
-    Packed,
-    /// [`Packed`](Self::Packed) plus a seeded Bloom prefilter in front
-    /// of the exact probes.
-    PackedFilter,
-    /// [`Packed`](Self::Packed) plus the file-backed spill tier: the
-    /// resident arena freezes into hash-sorted on-disk runs at a
-    /// threshold, bounding the exact set by disk instead of RAM.
-    PackedSpill,
-}
-
-impl StorageTier {
-    /// Every tier, in the order the CI storage axis names them.
-    pub const ALL: [StorageTier; 4] = [
-        StorageTier::Flat,
-        StorageTier::Packed,
-        StorageTier::PackedFilter,
-        StorageTier::PackedSpill,
-    ];
-
-    /// Parses the CI/CLI spelling: `flat`, `packed`, `packed+filter`,
-    /// `packed+spill`.
-    pub fn parse(s: &str) -> Option<StorageTier> {
-        match s {
-            "flat" => Some(StorageTier::Flat),
-            "packed" => Some(StorageTier::Packed),
-            "packed+filter" => Some(StorageTier::PackedFilter),
-            "packed+spill" => Some(StorageTier::PackedSpill),
-            _ => None,
-        }
-    }
-
-    /// The CI/CLI spelling ([`parse`](Self::parse)'s inverse).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StorageTier::Flat => "flat",
-            StorageTier::Packed => "packed",
-            StorageTier::PackedFilter => "packed+filter",
-            StorageTier::PackedSpill => "packed+spill",
-        }
-    }
-
-    fn filter(self) -> bool {
-        matches!(self, StorageTier::PackedFilter)
-    }
-
-    fn spill(self) -> bool {
-        matches!(self, StorageTier::PackedSpill)
-    }
-}
-
-impl std::fmt::Display for StorageTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 // ---------------------------------------------------------------------
 // Varint key packing
@@ -205,8 +128,8 @@ pub fn pack_key(key: &[u32]) -> Vec<u8> {
 /// The exact byte length [`pack_key`] produces, without encoding. This
 /// is the deterministic per-state cost model behind
 /// [`ExploreConfig::max_bytes`](crate::ExploreConfig::max_bytes): a pure
-/// function of the key, identical whichever storage tier actually holds
-/// it.
+/// function of the key, identical whether the table holds it resident
+/// or spilled.
 pub fn packed_key_len(key: &[u32]) -> usize {
     key.iter().map(|&slot| varint_len(slot)).sum()
 }
@@ -275,18 +198,18 @@ pub fn delta_decode(parent: &[u32], delta: &[u8]) -> Vec<u32> {
 }
 
 // ---------------------------------------------------------------------
-// Seeded Bloom prefilter
+// Seeded Bloom filter
 // ---------------------------------------------------------------------
 
 /// A seeded, deterministic Bloom filter over packed-key hashes: the
-/// probabilistic prefilter of the tiered visited set.
+/// per-run screen of the spilled visited set.
 ///
 /// Semantics: [`maybe_contains`](Self::maybe_contains) returning `false`
 /// proves the key was never [`insert`](Self::insert)ed; `true` proves
-/// nothing and the caller **must** fall through to the exact tier. The
+/// nothing and the caller **must** fall through to the exact probe. The
 /// filter is a pure function of `(seed, capacity, inserted set)` —
 /// insertion order never matters — so identically-built filters answer
-/// identically whatever the shard count or thread count
+/// identically however the key set was split into runs
 /// (property-tested in `tests/proptest_runtime.rs`).
 #[derive(Clone, Debug)]
 pub struct KeyFilter {
@@ -351,7 +274,7 @@ impl KeyFilter {
     }
 
     /// `false` = definitely never inserted; `true` = maybe (fall through
-    /// to the exact tier).
+    /// to the exact probe).
     pub fn maybe_contains(&self, hash: u64) -> bool {
         let (a, b) = self.probes(hash);
         self.bit(a) && self.bit(b)
@@ -369,24 +292,9 @@ impl KeyFilter {
         self.maybe_contains(hash_packed(&pack_key(key)))
     }
 
-    /// Number of bits set (the occupancy surfaced in
-    /// [`ExploreStats`](crate::ExploreStats)).
+    /// Number of bits set.
     pub fn bits_set(&self) -> usize {
         self.set
-    }
-
-    /// Total capacity in bits.
-    pub fn capacity_bits(&self) -> usize {
-        self.bits.len() * 64
-    }
-
-    /// Whether occupancy crossed the growth threshold (12.5%, keeping
-    /// the false-positive rate a fraction of a percent). The table grows
-    /// the filter by rebuilding from its retained keys — deterministic,
-    /// because the threshold is checked after every insert in insertion
-    /// order.
-    pub fn should_grow(&self) -> bool {
-        self.set * 8 > self.capacity_bits() && self.capacity_bits() < (1 << 40)
     }
 
     fn bytes(&self) -> usize {
@@ -394,8 +302,8 @@ impl KeyFilter {
     }
 }
 
-/// The shared key hash of the packed table, its index, the prefilter and
-/// the spill runs: an [`FxHasher`] pass over a packed key's bytes, then
+/// The shared key hash of the packed table, its index and the spill runs
+/// and their filters: an [`FxHasher`] pass over a packed key's bytes, then
 /// the murmur3 `fmix64` finalizer.
 ///
 /// The finalizer is what makes the index usable. `FxHasher`'s state
@@ -525,33 +433,10 @@ impl SpillRun {
         }
         None
     }
-
-    /// Streams every record's hash (for deterministic filter rebuilds).
-    fn for_each_hash(&self, mut f: impl FnMut(u64)) {
-        const CHUNK: usize = 256;
-        let mut buf = vec![0u8; CHUNK * RECORD];
-        let mut at = 0u64;
-        while at < self.count {
-            let n = (self.count - at).min(CHUNK as u64) as usize;
-            let slice = &mut buf[..n * RECORD];
-            self.records
-                .read_at(slice, at * RECORD as u64)
-                .map(|read| assert_eq!(read, n * RECORD, "short spill scan"))
-                .expect("scanning spill records");
-            for i in 0..n {
-                f(u64::from_le_bytes(
-                    slice[i * RECORD..i * RECORD + 8]
-                        .try_into()
-                        .expect("8 bytes"),
-                ));
-            }
-            at += n as u64;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// The packed, tiered state table
+// The packed state table
 // ---------------------------------------------------------------------
 
 /// Packed entry metadata: arena offset in the low 40 bits, byte length
@@ -568,16 +453,15 @@ fn meta_unpack(meta: u64) -> (usize, usize) {
     ((meta & ((1 << 40) - 1)) as usize, (meta >> 40) as usize)
 }
 
-/// The bit-packed, arena-backed drop-in for `StateTable`: deduplicates
-/// `&[u32]` state keys into dense insertion-order ids, holding the keys
-/// as canonical varint bytes in one arena behind an open-addressing
-/// index — with an optional Bloom prefilter and an optional file-backed
-/// spill tier (see the module docs).
+/// The visited set: deduplicates `&[u32]` state keys into dense
+/// insertion-order ids, holding the keys as canonical varint bytes in
+/// one arena behind an open-addressing index — with an optional
+/// file-backed spill tier (see the module docs).
 ///
-/// Identical observable behaviour to the flat table — same ids, same
-/// `(id, was_new)` results for the same insertion sequence — at a
-/// fraction of the resident bytes (property-tested against a reference
-/// map in `tests/proptest_runtime.rs`).
+/// Observably a map from keys to insertion-order ids — the same
+/// `(id, was_new)` results as a `HashMap<Vec<u32>, u32>` for the same
+/// insertion sequence, spilled or not (property-tested against a
+/// reference map in `tests/proptest_runtime.rs`).
 #[derive(Debug)]
 pub struct PackedStateTable {
     /// Packed key bytes of the resident entries, concatenated.
@@ -597,10 +481,11 @@ pub struct PackedStateTable {
     resident_start: u32,
     /// Total entries across resident + spilled tiers.
     len: u32,
-    filter: Option<KeyFilter>,
-    spill: Option<Vec<SpillRun>>,
-    /// Freeze the resident arena into a run when it crosses this.
-    spill_threshold: usize,
+    /// The frozen on-disk runs, oldest first (empty without spilling).
+    runs: Vec<SpillRun>,
+    /// Freeze the resident arena into a run when it reaches this many
+    /// bytes; `None` never spills.
+    spill_threshold: Option<usize>,
     spilled_bytes: usize,
     peak_resident: usize,
     /// Reused packing buffer, so the per-insert hot path never
@@ -616,25 +501,23 @@ fn slot_pack(hash: u64, pos: usize) -> u64 {
 }
 
 impl PackedStateTable {
-    /// Filter seed: fixed, so filter behaviour (and therefore probe
+    /// Run filter seed: fixed, so filter behaviour (and therefore probe
     /// *cost*, never outcomes) is reproducible across runs.
     const FILTER_SEED: u64 = 0xcafe_f00d_d15e_a5e5;
     const INITIAL_SLOTS: usize = 64;
-    const INITIAL_FILTER_LOG2: u32 = 16;
 
-    /// Creates a packed table: `filter`/`spill` switch the prefilter and
-    /// the disk tier on, `spill_threshold` is the resident arena size
-    /// that triggers a freeze (ignored without `spill`).
-    pub fn new(filter: bool, spill: bool, spill_threshold: usize) -> Self {
+    /// Creates an empty table. With `Some(bytes)`, the resident arena
+    /// freezes into an on-disk run whenever it reaches `bytes` (at least
+    /// one byte); with `None` the table stays resident.
+    pub fn new(spill_threshold: Option<usize>) -> Self {
         PackedStateTable {
             arena: Vec::new(),
             meta: Vec::new(),
             index: vec![0; Self::INITIAL_SLOTS],
             resident_start: 0,
             len: 0,
-            filter: filter.then(|| KeyFilter::new(Self::FILTER_SEED, Self::INITIAL_FILTER_LOG2)),
-            spill: spill.then(Vec::new),
-            spill_threshold: spill_threshold.max(1),
+            runs: Vec::new(),
+            spill_threshold: spill_threshold.map(|bytes| bytes.max(1)),
             spilled_bytes: 0,
             peak_resident: 0,
             scratch: Vec::new(),
@@ -668,10 +551,7 @@ impl PackedStateTable {
     }
 
     fn probe_spill(&self, hash: u64, packed: &[u8]) -> Option<u32> {
-        self.spill
-            .as_ref()?
-            .iter()
-            .find_map(|run| run.get(hash, packed))
+        self.runs.iter().find_map(|run| run.get(hash, packed))
     }
 
     /// Looks up `key` without inserting (exact across both tiers).
@@ -679,11 +559,6 @@ impl PackedStateTable {
         let mut packed = Vec::new();
         pack_key_into(key, &mut packed);
         let hash = hash_packed(&packed);
-        if let Some(filter) = &self.filter {
-            if !filter.maybe_contains(hash) {
-                return None;
-            }
-        }
         match self.probe_resident(hash, &packed) {
             Ok(id) => Some(id),
             Err(_) => self.probe_spill(hash, &packed),
@@ -701,30 +576,18 @@ impl PackedStateTable {
         packed.clear();
         pack_key_into(key, &mut packed);
         let hash = hash_packed(&packed);
-        // A filter miss proves absence in *both* tiers (every insert
-        // recorded its hash), so only the free index slot is looked up;
-        // a maybe falls through to the exact probes.
-        let filter_maybe = self
-            .filter
-            .as_ref()
-            .map_or(true, |filter| filter.maybe_contains(hash));
-        let slot = if filter_maybe {
-            match self.probe_resident(hash, &packed) {
-                Ok(id) => {
+        let slot = match self.probe_resident(hash, &packed) {
+            Ok(id) => {
+                self.scratch = packed;
+                return (id, false);
+            }
+            Err(slot) => {
+                if let Some(id) = self.probe_spill(hash, &packed) {
                     self.scratch = packed;
                     return (id, false);
                 }
-                Err(slot) => {
-                    if let Some(id) = self.probe_spill(hash, &packed) {
-                        self.scratch = packed;
-                        return (id, false);
-                    }
-                    slot
-                }
+                slot
             }
-        } else {
-            self.probe_resident(hash, &packed)
-                .expect_err("filter miss cannot be resident")
         };
         let id = self.len;
         assert!(id < u32::MAX, "state table overflow");
@@ -735,17 +598,14 @@ impl PackedStateTable {
         self.index[slot] = slot_pack(hash, self.meta.len());
         self.meta.push(meta_pack(offset, packed.len()));
         self.scratch = packed;
-        if let Some(filter) = &mut self.filter {
-            filter.insert(hash);
-            if filter.should_grow() {
-                self.grow_filter();
-            }
-        }
         if self.meta.len() * 2 >= self.index.len() {
             self.rehash(self.index.len() * 2);
         }
         self.peak_resident = self.peak_resident.max(self.resident_bytes());
-        if self.spill.is_some() && self.arena.len() >= self.spill_threshold {
+        if self
+            .spill_threshold
+            .is_some_and(|threshold| self.arena.len() >= threshold)
+        {
             self.freeze_run();
         }
         (id, true)
@@ -762,16 +622,12 @@ impl PackedStateTable {
     }
 
     /// Accounted resident bytes: arena + index slots + entry metadata +
-    /// filter bits + the spill runs' in-RAM Blooms.
+    /// the spill runs' in-RAM Blooms.
     pub fn resident_bytes(&self) -> usize {
         self.arena.len()
             + self.index.len() * 8
             + self.meta.len() * 8
-            + self.filter.as_ref().map_or(0, KeyFilter::bytes)
-            + self
-                .spill
-                .as_ref()
-                .map_or(0, |runs| runs.iter().map(|r| r.bloom.bytes()).sum())
+            + self.runs.iter().map(|r| r.bloom.bytes()).sum::<usize>()
     }
 
     /// Peak accounted resident bytes over the table's lifetime,
@@ -787,11 +643,6 @@ impl PackedStateTable {
         self.spilled_bytes
     }
 
-    /// Bits set in the prefilter (0 without one).
-    pub fn filter_bits_set(&self) -> usize {
-        self.filter.as_ref().map_or(0, KeyFilter::bits_set)
-    }
-
     fn rehash(&mut self, slots: usize) {
         self.index = vec![0; slots];
         let mask = slots - 1;
@@ -803,25 +654,6 @@ impl PackedStateTable {
             }
             self.index[slot] = slot_pack(hash, pos);
         }
-    }
-
-    /// Doubles the filter and rebuilds it from every retained key —
-    /// resident entries re-hash from the arena, spilled entries stream
-    /// their stored hashes from the run records. Deterministic: growth
-    /// triggers at a fixed occupancy checked in insertion order.
-    fn grow_filter(&mut self) {
-        let filter = self.filter.as_ref().expect("growing an absent filter");
-        let log2 = filter.capacity_bits().trailing_zeros() + 1;
-        let mut grown = KeyFilter::new(filter.seed, log2);
-        for pos in 0..self.meta.len() {
-            grown.insert(hash_packed(self.packed_entry(pos)));
-        }
-        if let Some(runs) = &self.spill {
-            for run in runs {
-                run.for_each_hash(|hash| grown.insert(hash));
-            }
-        }
-        self.filter = Some(grown);
     }
 
     /// Freezes the resident entries into one immutable hash-sorted
@@ -865,98 +697,18 @@ impl PackedStateTable {
             .write_all(&record_buf)
             .expect("writing spill records");
         self.spilled_bytes += record_buf.len() + key_offset as usize;
-        self.spill
-            .as_mut()
-            .expect("freeze without spill tier")
-            .push(SpillRun {
-                records,
-                keys,
-                count: order.len() as u64,
-                min_hash,
-                max_hash,
-                bloom,
-            });
+        self.runs.push(SpillRun {
+            records,
+            keys,
+            count: order.len() as u64,
+            min_hash,
+            max_hash,
+            bloom,
+        });
         self.arena.clear();
         self.meta.clear();
         self.index = vec![0; Self::INITIAL_SLOTS];
         self.resident_start = self.len;
-    }
-}
-
-// ---------------------------------------------------------------------
-// The visited-set backend switch
-// ---------------------------------------------------------------------
-
-/// One visited-set shard: the flat historical table or the packed tiered
-/// one, behind the `get`/`insert`/`len` contract both satisfy
-/// identically.
-#[derive(Debug)]
-pub(crate) enum VisitedTable {
-    /// The flat `FxHashMap` table.
-    Flat(StateTable),
-    /// The packed arena table (optionally filtered / spilled).
-    Packed(PackedStateTable),
-}
-
-impl VisitedTable {
-    pub(crate) fn new(tier: StorageTier, spill_threshold: usize) -> Self {
-        match tier {
-            StorageTier::Flat => VisitedTable::Flat(StateTable::new()),
-            tier => VisitedTable::Packed(PackedStateTable::new(
-                tier.filter(),
-                tier.spill(),
-                spill_threshold,
-            )),
-        }
-    }
-
-    pub(crate) fn get(&self, key: &[u32]) -> Option<u32> {
-        match self {
-            VisitedTable::Flat(t) => t.get(key),
-            VisitedTable::Packed(t) => t.get(key),
-        }
-    }
-
-    pub(crate) fn insert(&mut self, key: &[u32]) -> (u32, bool) {
-        match self {
-            VisitedTable::Flat(t) => t.insert(key),
-            VisitedTable::Packed(t) => t.insert(key),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            VisitedTable::Flat(t) => t.len(),
-            VisitedTable::Packed(t) => t.len(),
-        }
-    }
-
-    pub(crate) fn resident_bytes(&self) -> usize {
-        match self {
-            VisitedTable::Flat(t) => t.approx_bytes(),
-            VisitedTable::Packed(t) => t.resident_bytes(),
-        }
-    }
-
-    pub(crate) fn peak_resident_bytes(&self) -> usize {
-        match self {
-            VisitedTable::Flat(t) => t.approx_bytes(),
-            VisitedTable::Packed(t) => t.peak_resident_bytes(),
-        }
-    }
-
-    pub(crate) fn spilled_bytes(&self) -> usize {
-        match self {
-            VisitedTable::Flat(_) => 0,
-            VisitedTable::Packed(t) => t.spilled_bytes(),
-        }
-    }
-
-    pub(crate) fn filter_bits_set(&self) -> usize {
-        match self {
-            VisitedTable::Flat(_) => 0,
-            VisitedTable::Packed(t) => t.filter_bits_set(),
-        }
     }
 }
 
@@ -982,8 +734,8 @@ fn link_unpack(link: u64) -> (u32, u32, u16) {
     )
 }
 
-/// The append-only witness log: the frontier's compacted replacement for
-/// one heap-allocated parent link per node.
+/// The append-only witness log: the compacted replacement for one
+/// heap-allocated parent link per node.
 ///
 /// Per accepted node it stores one packed `u64` (parent index, action
 /// code, permutation id — permutations are interned in a side table, so
@@ -991,9 +743,8 @@ fn link_unpack(link: u64) -> (u32, u32, u16) {
 /// permutation instead of once per node) plus the node's key
 /// [`delta_encode`]d against its parent's key. Schedule reconstruction
 /// ([`link`](Self::link) walks) and full key reconstruction
-/// ([`key_of`](Self::key_of)) read only the log — both survive the BFS
-/// engine dropping a level's in-RAM nodes and the visited set spilling
-/// to disk.
+/// ([`key_of`](Self::key_of)) read only the log — both survive the
+/// visited set spilling to disk.
 ///
 /// Action codes are engine-defined (`u16`, `0` reserved for the root);
 /// the log never interprets them.
@@ -1083,7 +834,7 @@ impl WitnessLog {
     }
 
     /// Reconstructs node `idx`'s full key by replaying deltas root-down
-    /// — no visited-set or frontier lookup involved (asserted equal to
+    /// — no visited-set lookup involved (asserted equal to
     /// the engine-built keys in the runtime test suite).
     pub fn key_of(&self, idx: u32) -> Vec<u32> {
         let mut chain = vec![idx];
@@ -1191,21 +942,44 @@ mod tests {
         }
     }
 
+    /// `(id, was_new)` for every insert of `keys` into a plain map that
+    /// hands out ids in insertion order — what the table must match.
+    fn reference_inserts(keys: &[Vec<u32>]) -> Vec<(u32, bool)> {
+        let mut ids: std::collections::HashMap<&[u32], u32> = std::collections::HashMap::new();
+        keys.iter()
+            .map(|key| match ids.get(&key[..]) {
+                Some(&id) => (id, false),
+                None => {
+                    let id = u32::try_from(ids.len()).expect("few keys");
+                    ids.insert(key, id);
+                    (id, true)
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn packed_table_matches_flat_semantics() {
-        let mut packed = PackedStateTable::new(false, false, usize::MAX);
-        let mut flat = StateTable::new();
+        let mut table = PackedStateTable::new(None);
+        assert!(table.is_empty());
+        assert_eq!(table.insert(&[1, 2, 3]), (0, true));
+        assert_eq!(table.insert(&[1, 2, 4]), (1, true));
+        assert_eq!(table.insert(&[1, 2, 3]), (0, false));
+        assert_eq!(table.insert(&[]), (2, true));
+        assert_eq!(table.get(&[1, 2, 4]), Some(1));
         let keys: Vec<Vec<u32>> = (0..200u32)
             .map(|i| vec![i % 50, i / 3, 7, i % 2, 1 << (i % 31)])
+            .chain([vec![1, 2, 3], vec![1, 2, 4], vec![]])
             .collect();
-        for key in keys.iter().chain(keys.iter()) {
-            assert_eq!(packed.insert(key), flat.insert(key));
+        let doubled: Vec<Vec<u32>> = keys.iter().chain(keys.iter()).cloned().collect();
+        let mut table = PackedStateTable::new(None);
+        let inserts: Vec<(u32, bool)> = doubled.iter().map(|key| table.insert(key)).collect();
+        assert_eq!(inserts, reference_inserts(&doubled));
+        assert_eq!(table.len(), keys.len());
+        for (key, &(id, _)) in keys.iter().zip(&inserts) {
+            assert_eq!(table.get(key), Some(id));
         }
-        assert_eq!(packed.len(), flat.len());
-        for key in &keys {
-            assert_eq!(packed.get(key), flat.get(key));
-        }
-        assert_eq!(packed.get(&[9, 9, 9, 9, 9]), None);
+        assert_eq!(table.get(&[9, 9, 9, 9, 9]), None);
     }
 
     #[test]
@@ -1215,7 +989,7 @@ mod tests {
         // variation, then the decided word, crash count and decided
         // value. Without a finalizer on the byte hash these keys
         // cluster, and their mean displacement is ~37 slots.
-        let mut table = PackedStateTable::new(false, false, usize::MAX);
+        let mut table = PackedStateTable::new(None);
         for i in 0..1u32 << 17 {
             let mut key = vec![3, 0, 7, 1, 1, 2, 0, 5];
             key.extend((0..6).map(|d| 40 + (i >> (3 * d) & 7)));
@@ -1230,31 +1004,20 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_spill_tiers_stay_exact() {
-        // A tiny threshold forces many freezes; filter + spill together
-        // also exercises the stream-from-disk filter rebuild.
-        for (filter, spill) in [(true, false), (false, true), (true, true)] {
-            let mut table = PackedStateTable::new(filter, spill, 64);
-            let mut flat = StateTable::new();
-            let keys: Vec<Vec<u32>> = (0..600u32).map(|i| vec![i, i ^ 0xab, i % 7]).collect();
-            for key in keys.iter().chain(keys.iter().rev()) {
-                assert_eq!(
-                    table.insert(key),
-                    flat.insert(key),
-                    "filter={filter} spill={spill}"
-                );
-            }
-            for key in &keys {
-                assert_eq!(table.get(key), flat.get(key));
-            }
-            assert_eq!(table.get(&[1, 2]), None);
-            if spill {
-                assert!(table.spilled_bytes() > 0, "threshold 64 must have spilled");
-            }
-            if filter {
-                assert!(table.filter_bits_set() > 0);
-            }
+    fn spill_tier_stays_exact() {
+        // A tiny threshold forces many freezes, so most probes consult
+        // the on-disk runs and their filters.
+        let mut table = PackedStateTable::new(Some(64));
+        let keys: Vec<Vec<u32>> = (0..600u32).map(|i| vec![i, i ^ 0xab, i % 7]).collect();
+        let replayed: Vec<Vec<u32>> = keys.iter().chain(keys.iter().rev()).cloned().collect();
+        let inserts: Vec<(u32, bool)> = replayed.iter().map(|key| table.insert(key)).collect();
+        assert_eq!(inserts, reference_inserts(&replayed));
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(table.get(key), Some(id as u32));
         }
+        assert_eq!(table.get(&[1, 2]), None);
+        assert!(table.spilled_bytes() > 0, "threshold 64 must have spilled");
+        assert!(table.peak_resident_bytes() >= table.resident_bytes());
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! from which no single action can be removed without losing the
 //! violation. The shrunken schedule re-verifies through the
 //! [`WitnessLog`] replay path: the final replay records one log node per
-//! action (delta-encoded interned state keys, exactly the engines'
+//! action (delta-encoded interned state keys, exactly the model checker's
 //! format) and reconstructs the final state key from the log alone
 //! ([`WitnessLog::key_of`]), asserting it equals the directly-computed
 //! key.
@@ -242,7 +242,7 @@ pub fn swarm_with_progress(
     let violations_found = AtomicU64::new(0);
 
     let worker = || -> WorkerOutput {
-        let mut table = PackedStateTable::new(false, false, usize::MAX);
+        let mut table = PackedStateTable::new(None);
         let mut out = WorkerOutput {
             fresh_keys: Vec::new(),
             violations: Vec::new(),
@@ -314,7 +314,7 @@ pub fn swarm_with_progress(
     // Merge: set-union the per-worker fresh keys into one exact table
     // and sort the violating seeds — both order-independent, so the
     // deterministic fields cannot depend on thread count or scheduling.
-    let mut global = PackedStateTable::new(false, false, usize::MAX);
+    let mut global = PackedStateTable::new(None);
     let mut violations = Vec::new();
     let mut total_steps = 0u64;
     let mut total_crashes = 0u64;
@@ -399,7 +399,7 @@ pub struct ScheduleReplay {
 /// Replays `schedule` against a fresh system, tracking [`CrashModel`]
 /// legality per action, and (with `with_witness_log`) recording each
 /// post-action state into a [`WitnessLog`] — one node per action,
-/// interned keys delta-encoded against the parent, the engines' format
+/// interned keys delta-encoded against the parent, the model checker's format
 /// — then reconstructing the final key from the log as a
 /// self-verification of the replay path.
 ///

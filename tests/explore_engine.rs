@@ -1,71 +1,51 @@
-//! The model-checker engines, end to end: serial/parallel equivalence on
-//! the real Fig. 2 systems — byte-identical outcomes including at
-//! `max_states` truncation boundaries — the unified [`CrashModel`]
-//! semantics, process-symmetry reduction (identical verdicts and leaf
-//! counts with symmetry on vs off, replayable un-permuted witnesses),
-//! and regressions for the crash-adversary bugs the engine rebuilds
-//! fixed (post-decide `CrashAll` handling, the state-cap off-by-one, and
-//! the parallel frontier's whole-level cap overshoot).
+//! The model checker end to end: agreement with an independent, naive
+//! reference explorer (`support/reference.rs`) on the real Fig. 2,
+//! masked, broken-guard and Fig. 4 systems — verdicts and leaf counts
+//! under every reduction, exact state counts for the unreduced search,
+//! and every reported violation schedule replaying in the reference —
+//! plus exact `max_states` / `max_bytes` truncation boundaries, the
+//! unified [`CrashModel`] semantics, process-symmetry reduction
+//! (identical verdicts and leaf counts with symmetry on vs off,
+//! replayable un-permuted witnesses), spilling that leaves outcomes
+//! unchanged, and regressions for the crash-adversary bugs the engine
+//! rebuilds fixed (post-decide `CrashAll` handling, the state-cap
+//! off-by-one).
 //!
-//! CI runs this suite under `EXPLORE_TEST_THREADS` ∈ {2, 8} ×
-//! `EXPLORE_TEST_SYMMETRY` ∈ {on, off, rebind, scalarset} ×
-//! `EXPLORE_TEST_POR` ∈ {on, off} (see `.github/workflows/ci.yml`);
-//! `rebind` exercises the full-state mode — input-masked systems whose
-//! per-process mask registers permute with their owners under
-//! `Program::rebind` — `scalarset` exercises the certified-family mode
-//! on the Fig. 4 `SimultaneousRc` system (whose per-round announcement
-//! registers permute as a scalarset with the process slots), and the
-//! POR axis reruns the same matrix with the persistent-set + sleep-set
-//! reduction switched on (identical verdicts and weighted leaf counts;
-//! state counts are the reduction and legitimately differ). The thread counts are routed through
-//! `ExploreConfig::workers_override` / `shards_override`, so the forced
-//! multi-worker, multi-shard pipeline really runs — even on single-core
-//! runners, where the machine-aware policy used to clamp every level to
-//! the fused single-worker path and silently neutralize the matrix.
+//! CI runs this suite under `EXPLORE_TEST_SYMMETRY` ∈ {on, off, rebind,
+//! scalarset} × `EXPLORE_TEST_POR` ∈ {on, off} (see
+//! `.github/workflows/ci.yml`); `rebind` exercises the full-state mode —
+//! input-masked systems whose per-process mask registers permute with
+//! their owners under `Program::rebind` — `scalarset` exercises the
+//! certified-family mode on the Fig. 4 `SimultaneousRc` system (whose
+//! per-round announcement registers permute as a scalarset with the
+//! process slots), and the POR axis reruns the same matrix with the
+//! persistent-set + sleep-set reduction switched on (identical verdicts
+//! and weighted leaf counts; state counts are the reduction and
+//! legitimately differ).
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use rc_core::algorithms::{
-    build_broken_team_rc_system, build_masked_broken_team_rc_system,
-    build_masked_broken_team_rc_system_sym, build_masked_team_rc_system,
-    build_masked_team_rc_system_sym, build_simultaneous_rc_system,
+    build_broken_team_rc_system, build_broken_team_rc_system_sym,
+    build_masked_broken_team_rc_system, build_masked_broken_team_rc_system_sym,
+    build_masked_team_rc_system, build_masked_team_rc_system_sym, build_simultaneous_rc_system,
     build_simultaneous_rc_system_sym, build_team_rc_system, build_team_rc_system_sym,
     ConsensusObjectFactory,
 };
-use rc_core::{check_recording, Assignment, RecordingWitness, Team};
+use rc_core::{check_recording, find_recording_witness, Assignment, RecordingWitness, Team};
 use rc_runtime::sched::{
     Action, RandomScheduler, RandomSchedulerConfig, SchedContext, Scheduler, ScriptedScheduler,
 };
 use rc_runtime::verify::check_consensus_execution;
 use rc_runtime::{
-    explore, explore_parallel, explore_symmetric, explore_with_stats, run, CrashModel,
-    ExploreConfig, ExploreOutcome, MemOps, Memory, Program, RunOptions, Step, StorageTier,
+    explore, explore_symmetric, explore_symmetric_with_stats, explore_with_stats, run, CrashModel,
+    ExploreConfig, ExploreOutcome, MemOps, Memory, Program, RunOptions, Step, SymmetrySpec,
 };
-use rc_spec::types::Sn;
+use rc_spec::types::{Cas, Sn};
 use rc_spec::{TypeHandle, Value};
+use reference::{explore_reference, replay_violation, RefOutcome};
 use std::sync::Arc;
-
-/// The thread counts the equivalence tests run the parallel engine at:
-/// {2, 3, 4} always, plus whatever `EXPLORE_TEST_THREADS` names (the CI
-/// matrix sets 2 and 8).
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![2usize, 3, 4];
-    if let Ok(raw) = std::env::var("EXPLORE_TEST_THREADS") {
-        // A malformed matrix value must fail loudly, not silently test
-        // only the defaults (the same silent-no-op shape the tables CLI
-        // rejects for unknown experiment ids).
-        let extra: usize = raw
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("EXPLORE_TEST_THREADS must be an integer, got {raw:?}"));
-        assert!(
-            extra > 1,
-            "EXPLORE_TEST_THREADS must be > 1 to exercise the parallel engine, got {extra}"
-        );
-        if !counts.contains(&extra) {
-            counts.push(extra);
-        }
-    }
-    counts
-}
 
 /// A symmetry mode of the equivalence matrix: plain search, slots-only
 /// orbits (PR 4's reduction), full-state rebind (owned mask registers
@@ -123,36 +103,6 @@ fn por_modes() -> Vec<bool> {
     }
 }
 
-/// The storage tier the suite's searches run under: `Flat` by default,
-/// or whatever `EXPLORE_TEST_STORAGE` names (`flat` / `packed` /
-/// `packed+filter` / `packed+spill`; the CI storage axis). Anything
-/// else fails loudly, like the other matrix knobs.
-fn storage_tier() -> StorageTier {
-    match std::env::var("EXPLORE_TEST_STORAGE") {
-        Err(_) => StorageTier::Flat,
-        Ok(raw) => StorageTier::parse(raw.trim()).unwrap_or_else(|| {
-            panic!(
-                "EXPLORE_TEST_STORAGE must be one of flat, packed, \
-                 packed+filter, packed+spill; got {raw:?}"
-            )
-        }),
-    }
-}
-
-/// The suite's base config: [`ExploreConfig::default`] with the
-/// [`storage_tier`] axis applied. Under `packed+spill` the per-shard
-/// spill threshold is forced tiny (4 KiB) so these small state spaces
-/// genuinely freeze resident entries to disk — outcomes must not
-/// change (the equivalence assertions throughout are the proof).
-fn test_config() -> ExploreConfig {
-    let storage = storage_tier();
-    ExploreConfig {
-        storage,
-        spill_threshold: (storage == StorageTier::PackedSpill).then_some(4096),
-        ..ExploreConfig::default()
-    }
-}
-
 /// `base` with the sleep-set POR engine switched on. The `analysis_id`
 /// shares one cached footprint analysis per *system* across every
 /// budget/mode/thread combination a test runs (the analysis only
@@ -162,20 +112,6 @@ fn por_config(base: &ExploreConfig, analysis_id: String) -> ExploreConfig {
     ExploreConfig {
         por: true,
         analysis_id: Some(analysis_id),
-        ..base.clone()
-    }
-}
-
-/// The parallel-engine config for `threads` workers with the staged
-/// multi-worker, multi-shard pipeline **forced** — the machine-aware
-/// policy would clamp to `available_parallelism()` and run the fused
-/// single-worker path on single-core hosts, making the thread matrix a
-/// no-op. Outcomes are knob-independent (asserted throughout).
-fn parallel_config(base: &ExploreConfig, threads: usize) -> ExploreConfig {
-    ExploreConfig {
-        threads,
-        workers_override: Some(threads),
-        shards_override: Some(threads),
         ..base.clone()
     }
 }
@@ -196,106 +132,248 @@ fn sn_system(n: usize) -> (TypeHandle, RecordingWitness, Vec<Value>) {
     (Arc::new(sn), w, inputs)
 }
 
-/// `explore` vs the parallel engine on the E2 systems, across thread
-/// counts, with symmetry off, slots-only *and* full-rebind (the latter
-/// on the input-masked variant of the same systems): byte-identical
-/// `Verified` outcomes (state *and* leaf counts). Each thread count runs
-/// twice — once under the default machine-aware worker policy
-/// (`explore_parallel`) and once with the staged pipeline forced
-/// (`parallel_config`), so single-core hosts exercise real multi-worker
-/// levels too.
+/// A process-symmetric system builder: the memory, the programs and
+/// which process ids are interchangeable.
+type SymmetricFactory<'a> = dyn Fn() -> (Memory, Vec<Box<dyn Program>>, SymmetrySpec) + 'a;
+
+/// Checks one `explore` outcome against the reference's: the same
+/// verdict; on `Verified`, the same leaf count — and the same state
+/// count when `exact_states` (the unreduced search, whose states are
+/// the reference's); on `Violation`, the engine's schedule replays in
+/// the reference on the plain system to the same kind of violation.
+fn assert_agrees(
+    outcome: &ExploreOutcome,
+    expected: &RefOutcome,
+    plain: &dyn Fn() -> (Memory, Vec<Box<dyn Program>>),
+    config: &ExploreConfig,
+    exact_states: bool,
+    what: &str,
+) {
+    match (outcome, expected) {
+        (
+            ExploreOutcome::Verified { states, leaves },
+            RefOutcome::Verified {
+                states: ref_states,
+                leaves: ref_leaves,
+            },
+        ) => {
+            assert_eq!(leaves, ref_leaves, "{what}: leaf counts must agree");
+            if exact_states {
+                assert_eq!(states, ref_states, "{what}: state counts must agree");
+            }
+        }
+        (ExploreOutcome::Violation { kind, schedule, .. }, RefOutcome::Violation { .. }) => {
+            let replayed =
+                replay_violation(plain, config.crash, config.inputs.as_deref(), schedule)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "{what}: schedule {schedule:?} does not replay in the reference: {e}"
+                        )
+                    });
+            assert_eq!(replayed, *kind, "{what}: violation kinds must agree");
+        }
+        (outcome, expected) => {
+            panic!("{what}: verdicts differ — engine {outcome:?}, reference {expected:?}")
+        }
+    }
+}
+
+/// Runs `plain` (symmetry off) and, when the matrix selects its mode,
+/// `symmetric` through `explore` under every selected POR mode, and
+/// checks each outcome against the reference search of `plain` under
+/// `config`. `analysis_id` names the footprint analysis the POR runs
+/// share (the plain and symmetric builders produce the same memory and
+/// program shape). Returns the reference outcome.
+fn check_against_reference(
+    what: &str,
+    plain: &dyn Fn() -> (Memory, Vec<Box<dyn Program>>),
+    symmetric: (SymMode, &SymmetricFactory<'_>),
+    config: &ExploreConfig,
+    analysis_id: &str,
+) -> RefOutcome {
+    let expected = explore_reference(plain, config.crash, config.inputs.as_deref());
+    let modes = symmetry_modes();
+    for por in por_modes() {
+        let config = if por {
+            por_config(config, analysis_id.into())
+        } else {
+            config.clone()
+        };
+        if modes.contains(&SymMode::Off) {
+            let outcome = explore(plain, &config);
+            let what = format!("{what} off por {por}");
+            assert_agrees(&outcome, &expected, plain, &config, !por, &what);
+        }
+        let (mode, symmetric) = symmetric;
+        if modes.contains(&mode) {
+            let outcome = explore_symmetric(symmetric, &config);
+            let what = format!("{what} {mode:?} por {por}");
+            assert_agrees(&outcome, &expected, plain, &config, false, &what);
+        }
+    }
+    expected
+}
+
+/// The CAS witness of the Section 3.1 scenario, with team B holding at
+/// least two processes (the broken `|B| = 1` guard needs them), and its
+/// team inputs.
+fn cas_witness() -> (TypeHandle, RecordingWitness, Vec<Value>) {
+    let cas: TypeHandle = Arc::new(Cas::new(2));
+    let w = find_recording_witness(&cas, 3)
+        .expect("cas witness")
+        .normalized();
+    let w = if w.assignment.team_size(Team::B) >= 2 {
+        w
+    } else {
+        RecordingWitness {
+            assignment: w.assignment.swap_teams(),
+            q_a: w.q_b.clone(),
+            q_b: w.q_a.clone(),
+        }
+    };
+    let inputs: Vec<Value> = w
+        .assignment
+        .teams
+        .iter()
+        .map(|t| match t {
+            Team::A => Value::Int(0),
+            Team::B => Value::Int(1),
+        })
+        .collect();
+    (cas, w, inputs)
+}
+
+/// `explore` against the naive reference explorer on the E2 systems —
+/// `S_2`/`S_3` at crash budgets 0–2 and `S_4` at 0–1 — with symmetry
+/// off and slots-only, and on their input-masked variants (budgets 0–1)
+/// with symmetry off and full-rebind, each with and without POR:
+/// identical verdicts and leaf counts everywhere, identical state
+/// counts for the unreduced search.
 #[test]
 fn engines_agree_on_e2_systems() {
-    for n in [2usize, 3] {
+    for n in [2usize, 3, 4] {
         let (ty, w, inputs) = sn_system(n);
-        let factory = || build_team_rc_system(ty.clone(), &w, &inputs);
-        let sym_factory = || build_team_rc_system_sym(ty.clone(), &w, &inputs);
-        let masked_sym_factory = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
-        for budget in [0usize, 1, 2] {
+        let plain = || build_team_rc_system(ty.clone(), &w, &inputs);
+        let sym = || build_team_rc_system_sym(ty.clone(), &w, &inputs);
+        let masked = || build_masked_team_rc_system(ty.clone(), &w, &inputs);
+        let masked_sym = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
+        let budgets: &[usize] = if n < 4 { &[0, 1, 2] } else { &[0, 1] };
+        for &budget in budgets {
             let config = ExploreConfig {
                 crash: CrashModel::independent(budget).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             };
-            for mode in symmetry_modes() {
-                // The team systems declare no scalarset family; that
-                // axis value is carried by
-                // `scalarset_on_off_equivalence_on_simultaneous_rc`.
-                if mode == SymMode::Scalarset {
-                    continue;
-                }
-                // The masked S_3/budget-2 instance is an order of
-                // magnitude bigger; the full-rebind mode covers it at
-                // budgets 0–1 (E13 measures the larger instances in
-                // release mode).
-                if mode == SymMode::Rebind && n >= 3 && budget >= 2 {
-                    continue;
-                }
-                for por in por_modes() {
-                    let config = if por {
-                        // The plain and slots-sym builders produce the
-                        // same memory/program shape, so they share one
-                        // analysis; the masked builders differ (extra
-                        // mask registers) and get their own.
-                        por_config(
-                            &config,
-                            match mode {
-                                SymMode::Rebind => format!("test/masked-S_{n}"),
-                                _ => format!("test/S_{n}"),
-                            },
-                        )
-                    } else {
-                        config.clone()
-                    };
-                    let serial = match mode {
-                        SymMode::Off => explore(&factory, &config),
-                        SymMode::Slots => explore_symmetric(&sym_factory, &config),
-                        SymMode::Rebind => explore_symmetric(&masked_sym_factory, &config),
-                        SymMode::Scalarset => unreachable!("skipped above"),
-                    };
-                    assert!(
-                        matches!(serial, ExploreOutcome::Verified { .. }),
-                        "S_{n} budget {budget} mode {mode:?} por {por} must \
-                         verify: {serial:?}"
-                    );
-                    for threads in thread_counts() {
-                        for forced in [false, true] {
-                            let threaded = if forced {
-                                parallel_config(&config, threads)
-                            } else {
-                                ExploreConfig {
-                                    threads,
-                                    ..config.clone()
-                                }
-                            };
-                            let parallel = match mode {
-                                SymMode::Off if forced => explore(&factory, &threaded),
-                                SymMode::Off => explore_parallel(&factory, &threaded),
-                                SymMode::Slots => explore_symmetric(&sym_factory, &threaded),
-                                SymMode::Rebind => {
-                                    explore_symmetric(&masked_sym_factory, &threaded)
-                                }
-                                SymMode::Scalarset => unreachable!("skipped above"),
-                            };
-                            assert_eq!(
-                                serial, parallel,
-                                "S_{n} budget {budget} threads {threads} forced {forced} \
-                                 mode {mode:?} por {por}: engines must agree byte-for-byte"
-                            );
-                        }
-                    }
-                }
+            let what = format!("S_{n} budget {budget}");
+            let expected = check_against_reference(
+                &what,
+                &plain,
+                (SymMode::Slots, &sym),
+                &config,
+                &format!("test/S_{n}"),
+            );
+            assert!(
+                matches!(expected, RefOutcome::Verified { .. }),
+                "{what} must verify: {expected:?}"
+            );
+            // The masked S_3/budget-2 instance is an order of magnitude
+            // bigger, and masked S_4 bigger still (E13 measures the
+            // larger instances in release mode).
+            if n >= 4 || budget >= 2 {
+                continue;
             }
+            let what = format!("masked {what}");
+            let expected = check_against_reference(
+                &what,
+                &masked,
+                (SymMode::Rebind, &masked_sym),
+                &config,
+                &format!("test/masked-S_{n}"),
+            );
+            assert!(
+                matches!(expected, RefOutcome::Verified { .. }),
+                "{what} must verify: {expected:?}"
+            );
         }
     }
+}
+
+/// `explore` against the reference on the broken Fig. 2 guard
+/// (Section 3.1), plain and input-masked: both find the agreement
+/// violation, and every schedule `explore` reports — symmetry off,
+/// slots-only and full-rebind, with and without POR — replays in the
+/// reference to an agreement violation.
+#[test]
+fn engines_agree_on_broken_guard_systems() {
+    let (cas, w, inputs) = cas_witness();
+    let config = ExploreConfig {
+        crash: CrashModel::none(),
+        inputs: Some(inputs.clone()),
+        ..ExploreConfig::default()
+    };
+    let broken = || build_broken_team_rc_system(cas.clone(), &w, &inputs);
+    let broken_sym = || build_broken_team_rc_system_sym(cas.clone(), &w, &inputs);
+    let masked = || build_masked_broken_team_rc_system(cas.clone(), &w, &inputs);
+    let masked_sym = || build_masked_broken_team_rc_system_sym(cas.clone(), &w, &inputs);
+    for (what, plain, symmetric, analysis_id) in [
+        (
+            "broken guard",
+            &broken as &dyn Fn() -> _,
+            (SymMode::Slots, &broken_sym as &SymmetricFactory<'_>),
+            "test/broken-cas",
+        ),
+        (
+            "masked broken guard",
+            &masked,
+            (SymMode::Rebind, &masked_sym),
+            "test/masked-broken-cas",
+        ),
+    ] {
+        let expected = check_against_reference(what, plain, symmetric, &config, analysis_id);
+        assert!(
+            matches!(
+                expected,
+                RefOutcome::Violation {
+                    kind: rc_runtime::ViolationKind::Agreement,
+                    ..
+                }
+            ),
+            "{what} must violate agreement: {expected:?}"
+        );
+    }
+}
+
+/// `explore` against the reference on the Fig. 4 `SimultaneousRc`
+/// system (three processes, a two-process orbit beside a singleton),
+/// symmetry off and certified-scalarset, with and without POR.
+#[test]
+fn engines_agree_on_simultaneous_rc() {
+    let factory = ConsensusObjectFactory { domain: 4 };
+    let inputs = vec![Value::Int(0), Value::Int(0), Value::Int(1)];
+    let plain = || build_simultaneous_rc_system(&factory, &inputs, 4);
+    let sym = || build_simultaneous_rc_system_sym(&factory, &inputs, 4);
+    let config = ExploreConfig {
+        crash: CrashModel::simultaneous(0).after_decide(true),
+        inputs: Some(inputs.clone()),
+        ..ExploreConfig::default()
+    };
+    let expected = check_against_reference(
+        "SimultaneousRc n=3",
+        &plain,
+        (SymMode::Scalarset, &sym),
+        &config,
+        "test/simultaneous-rc-n3",
+    );
+    assert!(
+        matches!(expected, RefOutcome::Verified { .. }),
+        "SimultaneousRc must verify: {expected:?}"
+    );
 }
 
 /// Symmetry on vs off on every E2 config: identical verdicts, identical
 /// (weighted) leaf counts, and never more states — strictly fewer
 /// whenever the witness has an orbit to merge (`n ≥ 3`; the `S_2`
 /// witness is one process per team, so its quotient is the identity).
-/// The symmetric search is itself byte-identical across thread counts
-/// 1/2/8.
 #[test]
 fn symmetry_on_off_equivalence_on_e2_systems() {
     for n in [2usize, 3, 4] {
@@ -307,29 +385,13 @@ fn symmetry_on_off_equivalence_on_e2_systems() {
             let config = ExploreConfig {
                 crash: CrashModel::independent(budget).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             };
             let (off_states, off_leaves) = match explore(&factory, &config) {
                 ExploreOutcome::Verified { states, leaves } => (states, leaves),
                 other => panic!("S_{n} budget {budget} must verify: {other:?}"),
             };
-            let mut outcomes = Vec::new();
-            for threads in [1usize, 2, 8] {
-                let threaded = if threads == 1 {
-                    config.clone()
-                } else {
-                    parallel_config(&config, threads)
-                };
-                outcomes.push(explore_symmetric(&sym_factory, &threaded));
-            }
-            for on in &outcomes[1..] {
-                assert_eq!(
-                    on, &outcomes[0],
-                    "S_{n} budget {budget}: symmetric outcomes must be \
-                     byte-identical across thread counts"
-                );
-            }
-            match &outcomes[0] {
+            match &explore_symmetric(&sym_factory, &config) {
                 ExploreOutcome::Verified { states, leaves } => {
                     assert_eq!(
                         *leaves, off_leaves,
@@ -353,20 +415,17 @@ fn symmetry_on_off_equivalence_on_e2_systems() {
 }
 
 /// The `max_states` cap at every boundary of the S_2 budget-2 instance
-/// (514 states): serial and parallel outcomes are byte-identical — the
-/// parallel engine must neither overshoot the cap by a frontier (the
-/// pre-sharding bug) nor truncate a run whose cap equals the exact
-/// state-space size. Also pins `Verified { leaves }` parity at the cap
-/// boundary: a level cut mid-dedup must not have counted
-/// partially-processed nodes as leaves.
+/// (514 states), with and without POR: below the state-space size the
+/// search truncates reporting exactly the cap, and a cap equal to (or
+/// above) the exact size still verifies.
 #[test]
-fn cap_boundaries_are_byte_identical_across_engines() {
+fn cap_boundaries_are_exact() {
     let (ty, w, inputs) = sn_system(2);
     let factory = || build_team_rc_system(ty.clone(), &w, &inputs);
     let plain = ExploreConfig {
         crash: CrashModel::independent(2).after_decide(true),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     for por in por_modes() {
         // The POR state-space size is computed per setting — reduced
@@ -387,27 +446,20 @@ fn cap_boundaries_are_byte_identical_across_engines() {
                 max_states: cap,
                 ..base.clone()
             };
-            let serial = explore(&factory, &config);
+            let outcome = explore(&factory, &config);
             if cap >= total {
                 // At (and above) the exact state-space size nothing may
-                // truncate, and the leaf count is part of the contract.
-                assert!(serial.is_verified(), "cap {cap} por {por}: {serial:?}");
+                // truncate.
+                assert_eq!(
+                    outcome,
+                    explore(&factory, &base),
+                    "cap {cap} por {por}: a cap at the state-space size verifies"
+                );
             } else {
                 assert_eq!(
-                    serial,
+                    outcome,
                     ExploreOutcome::Truncated { states: cap },
-                    "the serial cap is exact (por {por})"
-                );
-            }
-            for threads in thread_counts() {
-                // Forced staged pipeline: the cap must stay exact when
-                // every level really fans out multi-worker and
-                // multi-shard.
-                let parallel = explore(&factory, &parallel_config(&config, threads));
-                assert_eq!(
-                    serial, parallel,
-                    "cap {cap} threads {threads} por {por}: outcomes must be \
-                     byte-identical"
+                    "the cap is exact (por {por})"
                 );
             }
         }
@@ -416,8 +468,7 @@ fn cap_boundaries_are_byte_identical_across_engines() {
 
 /// `max_states` boundaries of the *symmetric* search: the cap counts
 /// canonical states and stays exact — at/above the quotient size the
-/// search verifies, below it truncates at exactly the cap — and the
-/// outcome is byte-identical across thread counts 1/2/8.
+/// search verifies, below it truncates at exactly the cap.
 #[test]
 fn symmetric_cap_boundaries_are_exact() {
     let (ty, w, inputs) = sn_system(3);
@@ -425,7 +476,7 @@ fn symmetric_cap_boundaries_are_exact() {
     let plain = ExploreConfig {
         crash: CrashModel::independent(2).after_decide(true),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     for por in por_modes() {
         let base = if por {
@@ -442,59 +493,17 @@ fn symmetric_cap_boundaries_are_exact() {
                 max_states: cap,
                 ..base.clone()
             };
-            let serial = explore_symmetric(&sym_factory, &config);
+            let outcome = explore_symmetric(&sym_factory, &config);
             if cap >= total {
-                assert!(serial.is_verified(), "cap {cap} por {por}: {serial:?}");
+                assert!(outcome.is_verified(), "cap {cap} por {por}: {outcome:?}");
             } else {
                 assert_eq!(
-                    serial,
+                    outcome,
                     ExploreOutcome::Truncated { states: cap },
                     "the symmetric cap is exact (por {por})"
                 );
             }
-            for threads in [2usize, 8] {
-                let parallel = explore_symmetric(&sym_factory, &parallel_config(&config, threads));
-                assert_eq!(serial, parallel, "cap {cap} threads {threads} por {por}");
-            }
         }
-    }
-}
-
-/// Regression: the CI thread matrix used to be silently neutralized on
-/// single-core runners — `level_workers` clamps by
-/// `available_parallelism()`, so `EXPLORE_TEST_THREADS=8` still ran the
-/// fused single-worker path everywhere. With the overrides routed
-/// through [`parallel_config`], the staged pipeline must *actually* fan
-/// out to every forced worker (asserted via [`ExploreStats`], which
-/// reports the real per-level maximum).
-#[test]
-fn forced_multi_worker_pipelines_actually_run() {
-    let (ty, w, inputs) = sn_system(3);
-    let factory = || build_team_rc_system(ty.clone(), &w, &inputs);
-    let base = ExploreConfig {
-        crash: CrashModel::independent(2).after_decide(true),
-        inputs: Some(inputs.clone()),
-        ..test_config()
-    };
-    let serial = explore(&factory, &base);
-    for threads in thread_counts() {
-        let (outcome, stats) = explore_with_stats(&factory, &parallel_config(&base, threads));
-        assert_eq!(serial, outcome, "threads {threads}");
-        assert!(
-            stats.frontier,
-            "threads {threads} must select the frontier engine"
-        );
-        assert_eq!(stats.shards, threads, "forced shard count must be honoured");
-        assert!(
-            stats.max_level_workers > 1,
-            "threads {threads}: the forced pipeline must use more than one \
-             worker — a single-worker run means the override was ignored"
-        );
-        assert_eq!(
-            stats.max_level_workers, threads,
-            "threads {threads}: the S_3 peak level is large enough to fan \
-             out to every forced worker"
-        );
     }
 }
 
@@ -510,7 +519,7 @@ fn e2_state_counts_are_preserved() {
             &ExploreConfig {
                 crash: CrashModel::independent(2).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             },
         );
         match outcome {
@@ -531,7 +540,7 @@ fn s4_budget_1_verifies_within_default_cap() {
         &ExploreConfig {
             crash: CrashModel::independent(1).after_decide(true),
             inputs: Some(inputs.clone()),
-            ..test_config()
+            ..ExploreConfig::default()
         },
     );
     match outcome {
@@ -599,7 +608,7 @@ fn crash_all_respects_post_decide_policy_in_explore() {
             &forgetful_factory,
             &ExploreConfig {
                 crash: mode,
-                ..test_config()
+                ..ExploreConfig::default()
             },
         );
         assert!(
@@ -610,7 +619,7 @@ fn crash_all_respects_post_decide_policy_in_explore() {
             &forgetful_factory,
             &ExploreConfig {
                 crash: mode.after_decide(true),
-                ..test_config()
+                ..ExploreConfig::default()
             },
         );
         assert!(
@@ -664,7 +673,7 @@ fn state_cap_has_no_off_by_one() {
     let config = ExploreConfig {
         crash: CrashModel::independent(2).after_decide(true),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     // 514 states (asserted above). Capping exactly there must verify…
     let outcome = explore(
@@ -726,80 +735,93 @@ fn violation_beats_truncation_when_found_first() {
         &factory,
         &ExploreConfig {
             max_states: 3,
-            ..test_config()
+            ..ExploreConfig::default()
         },
     );
     assert!(outcome.is_violation(), "{outcome:?}");
 }
 
-/// The parallel engine finds violations, deterministically, and the
-/// reported schedule replays to the claimed disagreement.
+/// Validity violations (declared inputs that exclude what team B
+/// decides) on `S_2`/`S_3` and their masked variants: `explore` reports
+/// the same schedule on every run, and every schedule it reports — in
+/// every symmetry × POR mode — replays in the reference explorer to a
+/// validity violation.
 #[test]
-fn parallel_engine_reports_replayable_violations() {
-    let (ty, w, inputs) = sn_system(2);
-    // Break validity: declare inputs that exclude what team B decides.
+fn violation_witnesses_replay_in_the_reference() {
     let bogus = vec![Value::Int(7)];
-    let factory = || build_team_rc_system(ty.clone(), &w, &inputs);
-    let mut schedules = Vec::new();
-    let counts = thread_counts();
-    for threads in counts.iter().chain(counts.iter()).copied() {
-        match explore(
-            &factory,
-            &ExploreConfig {
-                crash: CrashModel::independent(1).after_decide(true),
-                inputs: Some(bogus.clone()),
-                threads,
-                ..test_config()
-            },
-        ) {
-            ExploreOutcome::Violation { schedule, kind, .. } => {
-                schedules.push((schedule, kind));
-            }
-            other => panic!("bogus inputs must violate validity: {other:?}"),
+    for n in [2usize, 3] {
+        let (ty, w, inputs) = sn_system(n);
+        let plain = || build_team_rc_system(ty.clone(), &w, &inputs);
+        let sym = || build_team_rc_system_sym(ty.clone(), &w, &inputs);
+        let masked = || build_masked_team_rc_system(ty.clone(), &w, &inputs);
+        let masked_sym = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
+        let config = ExploreConfig {
+            crash: CrashModel::independent(1).after_decide(true),
+            inputs: Some(bogus.clone()),
+            ..ExploreConfig::default()
+        };
+        let first = explore(&plain, &config);
+        assert!(first.is_violation(), "bogus inputs must violate: {first:?}");
+        assert_eq!(first, explore(&plain, &config), "S_{n}: violations repeat");
+        for (what, plain, symmetric, analysis_id) in [
+            (
+                format!("S_{n}"),
+                &plain as &dyn Fn() -> _,
+                (SymMode::Slots, &sym as &SymmetricFactory<'_>),
+                format!("test/S_{n}"),
+            ),
+            (
+                format!("masked S_{n}"),
+                &masked,
+                (SymMode::Rebind, &masked_sym),
+                format!("test/masked-S_{n}"),
+            ),
+        ] {
+            let expected = check_against_reference(&what, plain, symmetric, &config, &analysis_id);
+            assert!(
+                matches!(
+                    expected,
+                    RefOutcome::Violation {
+                        kind: rc_runtime::ViolationKind::Validity,
+                        ..
+                    }
+                ),
+                "{what}: the reference must find the validity violation: {expected:?}"
+            );
         }
-    }
-    for s in &schedules[1..] {
-        assert_eq!(s, &schedules[0], "parallel verdicts must be deterministic");
     }
 }
 
 /// Symmetric searches report witnesses in *original* process ids: the
 /// schedule a violating symmetric search returns must replay, action for
 /// action, on the plain (never-permuted) system and reproduce the
-/// violation — at thread counts 1/2/8. (Validity is broken here the same
-/// way as in `parallel_engine_reports_replayable_violations`: declared
-/// inputs that exclude what team B decides.)
+/// violation. (Validity is broken here the same way as in
+/// `violation_witnesses_replay_in_the_reference`: declared inputs that
+/// exclude what team B decides.)
 #[test]
 fn symmetric_witness_replays_on_the_original_system() {
     let (ty, w, inputs) = sn_system(3);
     let bogus = vec![Value::Int(7)];
     let sym_factory = || build_team_rc_system_sym(ty.clone(), &w, &inputs);
-    for threads in [1usize, 2, 8] {
-        let base = ExploreConfig {
-            crash: CrashModel::independent(1).after_decide(true),
-            inputs: Some(bogus.clone()),
-            ..test_config()
-        };
-        let config = if threads == 1 {
-            base
-        } else {
-            parallel_config(&base, threads)
-        };
-        let schedule = match explore_symmetric(&sym_factory, &config) {
-            ExploreOutcome::Violation { schedule, .. } => schedule,
-            other => panic!("bogus inputs must violate validity: {other:?}"),
-        };
-        // Replay on the plain system builder (no symmetry, no
-        // canonicalization): the un-permuted schedule must reach the
-        // same validity failure.
-        let (mut mem, mut programs) = build_team_rc_system(ty.clone(), &w, &inputs);
-        let mut sched = ScriptedScheduler::then_finish(schedule.clone());
-        let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
-        check_consensus_execution(&exec, &bogus).expect_err(
-            "the replayed witness must reproduce the validity violation \
-             on the original system",
-        );
-    }
+    let config = ExploreConfig {
+        crash: CrashModel::independent(1).after_decide(true),
+        inputs: Some(bogus.clone()),
+        ..ExploreConfig::default()
+    };
+    let schedule = match explore_symmetric(&sym_factory, &config) {
+        ExploreOutcome::Violation { schedule, .. } => schedule,
+        other => panic!("bogus inputs must violate validity: {other:?}"),
+    };
+    // Replay on the plain system builder (no symmetry, no
+    // canonicalization): the un-permuted schedule must reach the
+    // same validity failure.
+    let (mut mem, mut programs) = build_team_rc_system(ty.clone(), &w, &inputs);
+    let mut sched = ScriptedScheduler::then_finish(schedule.clone());
+    let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
+    check_consensus_execution(&exec, &bogus).expect_err(
+        "the replayed witness must reproduce the validity violation \
+         on the original system",
+    );
 }
 
 /// The broken Fig. 2 variant (Section 3.1) under symmetry: the agreement
@@ -807,36 +829,12 @@ fn symmetric_witness_replays_on_the_original_system() {
 /// broken system to an agreement failure.
 #[test]
 fn symmetric_search_finds_the_broken_guard_violation() {
-    use rc_core::algorithms::build_broken_team_rc_system_sym;
-    use rc_core::find_recording_witness;
-    use rc_spec::types::Cas;
-    let cas: TypeHandle = Arc::new(Cas::new(2));
-    let w = find_recording_witness(&cas, 3)
-        .expect("cas witness")
-        .normalized();
-    let w = if w.assignment.team_size(Team::B) >= 2 {
-        w
-    } else {
-        RecordingWitness {
-            assignment: w.assignment.swap_teams(),
-            q_a: w.q_b.clone(),
-            q_b: w.q_a.clone(),
-        }
-    };
-    let inputs: Vec<Value> = w
-        .assignment
-        .teams
-        .iter()
-        .map(|t| match t {
-            Team::A => Value::Int(0),
-            Team::B => Value::Int(1),
-        })
-        .collect();
+    let (cas, w, inputs) = cas_witness();
     let sym_factory = || build_broken_team_rc_system_sym(cas.clone(), &w, &inputs);
     let config = ExploreConfig {
         crash: CrashModel::none(),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     let schedule = match explore_symmetric(&sym_factory, &config) {
         ExploreOutcome::Violation { schedule, .. } => schedule,
@@ -853,8 +851,7 @@ fn symmetric_search_finds_the_broken_guard_violation() {
 /// Full-state symmetry (owned mask registers + `Program::rebind`) on the
 /// masked E2 systems: identical verdicts and weighted leaf counts to the
 /// plain masked search, strictly fewer states (the mask registers no
-/// longer block the team-B orbit), byte-identical across thread counts
-/// 1/2/8.
+/// longer block the team-B orbit).
 #[test]
 fn rebind_on_off_equivalence_on_masked_systems() {
     for n in [2usize, 3] {
@@ -865,29 +862,13 @@ fn rebind_on_off_equivalence_on_masked_systems() {
             let config = ExploreConfig {
                 crash: CrashModel::independent(budget).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             };
             let (off_states, off_leaves) = match explore(&factory, &config) {
                 ExploreOutcome::Verified { states, leaves } => (states, leaves),
                 other => panic!("masked S_{n} budget {budget} must verify: {other:?}"),
             };
-            let mut outcomes = Vec::new();
-            for threads in [1usize, 2, 8] {
-                let threaded = if threads == 1 {
-                    config.clone()
-                } else {
-                    parallel_config(&config, threads)
-                };
-                outcomes.push(explore_symmetric(&sym_factory, &threaded));
-            }
-            for on in &outcomes[1..] {
-                assert_eq!(
-                    on, &outcomes[0],
-                    "masked S_{n} budget {budget}: rebind outcomes must be \
-                     byte-identical across thread counts"
-                );
-            }
-            match &outcomes[0] {
+            match &explore_symmetric(&sym_factory, &config) {
                 ExploreOutcome::Verified { states, leaves } => {
                     assert_eq!(
                         *leaves, off_leaves,
@@ -915,9 +896,8 @@ fn rebind_on_off_equivalence_on_masked_systems() {
 /// — the carrier of the `EXPLORE_TEST_SYMMETRY=scalarset` matrix value
 /// (the team systems declare no register family, so the axis needs the
 /// one catalog system that does): identical verdicts and weighted leaf
-/// counts with the scalarset orbits on vs off, strictly fewer states,
-/// byte-identical outcomes across serial and every matrix thread
-/// count — and, on the POR axis, the same contract holding *composed*
+/// counts with the scalarset orbits on vs off, strictly fewer states
+/// — and, on the POR axis, the same contract holding *composed*
 /// with the persistent-set + sleep-set reduction (each por setting is
 /// compared against its own plain baseline, so the strict-reduction
 /// assertion proves the two reductions stack rather than cancel).
@@ -939,7 +919,7 @@ fn scalarset_on_off_equivalence_on_simultaneous_rc() {
         crash: CrashModel::simultaneous(0).after_decide(true),
         inputs: Some(inputs.clone()),
         analysis_id: Some("test/simultaneous-rc-n3".into()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     for por in por_modes() {
         let config = if por {
@@ -954,18 +934,7 @@ fn scalarset_on_off_equivalence_on_simultaneous_rc() {
             ExploreOutcome::Verified { states, leaves } => (states, leaves),
             other => panic!("SimultaneousRc por {por} must verify: {other:?}"),
         };
-        let mut outcomes = vec![explore_symmetric(&sym, &config)];
-        for threads in thread_counts() {
-            outcomes.push(explore_symmetric(&sym, &parallel_config(&config, threads)));
-        }
-        for on in &outcomes[1..] {
-            assert_eq!(
-                on, &outcomes[0],
-                "SimultaneousRc por {por}: scalarset outcomes must be \
-                 byte-identical across thread counts"
-            );
-        }
-        match &outcomes[0] {
+        match &explore_symmetric(&sym, &config) {
             ExploreOutcome::Verified { states, leaves } => {
                 assert_eq!(
                     *leaves, off_leaves,
@@ -991,9 +960,7 @@ fn scalarset_on_off_equivalence_on_simultaneous_rc() {
 ///   different, and *not* monotone: sleep-set node splitting can
 ///   outweigh the pruning at independent budget 1 (E15 records both
 ///   directions);
-/// * within each setting the serial and forced-parallel searches are
-///   byte-identical at threads 1/2/8, plain and composed with
-///   full-rebind symmetry;
+/// * the same holds composed with full-rebind symmetry;
 /// * **truncating** configs report the identical `Truncated` outcome in
 ///   both settings at every cap below both state-space sizes — the cap
 ///   counts visited nodes exactly, reduced or not.
@@ -1012,7 +979,7 @@ fn por_on_off_equivalence_on_e2_systems() {
             let base = ExploreConfig {
                 crash: CrashModel::independent(budget).after_decide(true),
                 inputs: Some(inputs.clone()),
-                ..test_config()
+                ..ExploreConfig::default()
             };
             // Unmasked: exact verdict + leaves (even the plain teams
             // have commuting step pairs, so states may shrink).
@@ -1029,36 +996,21 @@ fn por_on_off_equivalence_on_e2_systems() {
                 "unmasked S_{n} budget {budget}: POR must preserve the \
                  weighted leaf count exactly"
             );
-            // Masked: exact verdict + leaves, byte-identical engines
-            // within each setting.
+            // Masked: exact verdict + leaves.
             let reduced = por_config(&base, format!("test/masked-S_{n}"));
             let (off_states, off_leaves) = verified(
                 &explore(&masked, &base),
                 &format!("masked S_{n} budget {budget} por off"),
             );
-            let on_serial = explore(&masked, &reduced);
+            let on_outcome = explore(&masked, &reduced);
             let (on_states, on_leaves) =
-                verified(&on_serial, &format!("masked S_{n} budget {budget} por on"));
+                verified(&on_outcome, &format!("masked S_{n} budget {budget} por on"));
             assert_eq!(
                 on_leaves, off_leaves,
                 "masked S_{n} budget {budget}: POR must preserve the \
                  weighted leaf count exactly"
             );
-            for threads in [1usize, 2, 8] {
-                let threaded = if threads == 1 {
-                    reduced.clone()
-                } else {
-                    parallel_config(&reduced, threads)
-                };
-                assert_eq!(
-                    on_serial,
-                    explore(&masked, &threaded),
-                    "masked S_{n} budget {budget} threads {threads}: the \
-                     reduced engines must agree byte-for-byte"
-                );
-            }
-            // Composed with full-rebind symmetry: still exact, still
-            // byte-identical across thread counts.
+            // Composed with full-rebind symmetry: still exact.
             let (_, sym_off_leaves) = verified(
                 &explore_symmetric(&masked_sym, &base),
                 &format!("masked S_{n} budget {budget} rebind por off"),
@@ -1074,17 +1026,8 @@ fn por_on_off_equivalence_on_e2_systems() {
                 "masked S_{n} budget {budget}: por+rebind must preserve the \
                  weighted leaf count exactly"
             );
-            for threads in [2usize, 8] {
-                assert_eq!(
-                    sym_on,
-                    explore_symmetric(&masked_sym, &parallel_config(&reduced, threads)),
-                    "masked S_{n} budget {budget} threads {threads}: the \
-                     combined reduction must agree byte-for-byte"
-                );
-            }
             // Truncating configs: below both state-space sizes the two
-            // settings report the identical truncation, serial and
-            // parallel.
+            // settings report the identical truncation.
             let smallest = off_states.min(on_states);
             for cap in [1usize, smallest / 2, smallest - 1] {
                 if cap == 0 {
@@ -1095,21 +1038,12 @@ fn por_on_off_equivalence_on_e2_systems() {
                         max_states: cap,
                         ..cfg.clone()
                     };
-                    let serial = explore(&masked, &capped);
                     assert_eq!(
-                        serial,
+                        explore(&masked, &capped),
                         ExploreOutcome::Truncated { states: cap },
                         "masked S_{n} budget {budget} cap {cap} por {setting}: \
                          the cap counts visited nodes exactly"
                     );
-                    for threads in [2usize, 8] {
-                        assert_eq!(
-                            serial,
-                            explore(&masked, &parallel_config(&capped, threads)),
-                            "masked S_{n} budget {budget} cap {cap} por \
-                             {setting} threads {threads}"
-                        );
-                    }
                 }
             }
         }
@@ -1119,35 +1053,28 @@ fn por_on_off_equivalence_on_e2_systems() {
 /// Witnesses from a full-rebind symmetric search replay in *original*
 /// process ids: the validity-violation schedule reported on the masked
 /// system replays, action for action, on the original (never-permuted,
-/// never-rebound) masked system — at thread counts 1/2/8.
+/// never-rebound) masked system.
 #[test]
 fn rebind_witness_replays_on_the_original_masked_system() {
     let (ty, w, inputs) = sn_system(3);
     let bogus = vec![Value::Int(7)];
     let sym_factory = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
-    for threads in [1usize, 2, 8] {
-        let base = ExploreConfig {
-            crash: CrashModel::independent(1).after_decide(true),
-            inputs: Some(bogus.clone()),
-            ..test_config()
-        };
-        let config = if threads == 1 {
-            base
-        } else {
-            parallel_config(&base, threads)
-        };
-        let schedule = match explore_symmetric(&sym_factory, &config) {
-            ExploreOutcome::Violation { schedule, .. } => schedule,
-            other => panic!("bogus inputs must violate validity: {other:?}"),
-        };
-        let (mut mem, mut programs) = build_masked_team_rc_system(ty.clone(), &w, &inputs);
-        let mut sched = ScriptedScheduler::then_finish(schedule.clone());
-        let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
-        check_consensus_execution(&exec, &bogus).expect_err(
-            "the replayed witness must reproduce the validity violation \
-             on the original masked system",
-        );
-    }
+    let config = ExploreConfig {
+        crash: CrashModel::independent(1).after_decide(true),
+        inputs: Some(bogus.clone()),
+        ..ExploreConfig::default()
+    };
+    let schedule = match explore_symmetric(&sym_factory, &config) {
+        ExploreOutcome::Violation { schedule, .. } => schedule,
+        other => panic!("bogus inputs must violate validity: {other:?}"),
+    };
+    let (mut mem, mut programs) = build_masked_team_rc_system(ty.clone(), &w, &inputs);
+    let mut sched = ScriptedScheduler::then_finish(schedule.clone());
+    let exec = run(&mut mem, &mut programs, &mut sched, RunOptions::default());
+    check_consensus_execution(&exec, &bogus).expect_err(
+        "the replayed witness must reproduce the validity violation \
+         on the original masked system",
+    );
 }
 
 /// The **masked-program counterexample**: the broken Fig. 2 guard under
@@ -1157,35 +1084,12 @@ fn rebind_witness_replays_on_the_original_masked_system() {
 /// system to the same agreement failure.
 #[test]
 fn rebind_search_finds_the_masked_broken_guard_violation() {
-    use rc_core::find_recording_witness;
-    use rc_spec::types::Cas;
-    let cas: TypeHandle = Arc::new(Cas::new(2));
-    let w = find_recording_witness(&cas, 3)
-        .expect("cas witness")
-        .normalized();
-    let w = if w.assignment.team_size(Team::B) >= 2 {
-        w
-    } else {
-        RecordingWitness {
-            assignment: w.assignment.swap_teams(),
-            q_a: w.q_b.clone(),
-            q_b: w.q_a.clone(),
-        }
-    };
-    let inputs: Vec<Value> = w
-        .assignment
-        .teams
-        .iter()
-        .map(|t| match t {
-            Team::A => Value::Int(0),
-            Team::B => Value::Int(1),
-        })
-        .collect();
+    let (cas, w, inputs) = cas_witness();
     let sym_factory = || build_masked_broken_team_rc_system_sym(cas.clone(), &w, &inputs);
     let config = ExploreConfig {
         crash: CrashModel::none(),
         inputs: Some(inputs.clone()),
-        ..test_config()
+        ..ExploreConfig::default()
     };
     let schedule = match explore_symmetric(&sym_factory, &config) {
         ExploreOutcome::Violation { schedule, .. } => schedule,
@@ -1199,59 +1103,82 @@ fn rebind_search_finds_the_masked_broken_guard_violation() {
     assert!(err.to_string().contains("agreement"), "{err}");
 }
 
-/// Every storage tier — flat, packed, packed+filter, packed+spill — is
-/// the *same* exact search: byte-identical `Verified` outcomes (state
-/// and leaf counts) on the E2 systems, serial and with the forced
-/// staged pipeline at every matrix thread count. The spill tier runs
-/// with a tiny per-shard threshold so resident entries genuinely
-/// freeze to disk mid-search.
+/// Spilling never changes a search: in every cell of the symmetry × POR
+/// matrix, the search with its visited set resident
+/// (`spill_threshold: None`) and the same search spilling at a tiny
+/// threshold (`Some(512)`, so resident entries genuinely freeze to disk
+/// mid-search) report byte-identical outcomes.
 #[test]
 fn storage_tiers_agree_byte_identically() {
-    let (ty, w, inputs) = sn_system(2);
-    let factory = || build_team_rc_system(ty.clone(), &w, &inputs);
-    for budget in [1usize, 2] {
-        let base = ExploreConfig {
-            crash: CrashModel::independent(budget).after_decide(true),
-            inputs: Some(inputs.clone()),
-            ..ExploreConfig::default()
+    let (ty, w, inputs) = sn_system(3);
+    let plain = || build_team_rc_system(ty.clone(), &w, &inputs);
+    let sym = || build_team_rc_system_sym(ty.clone(), &w, &inputs);
+    let masked_sym = || build_masked_team_rc_system_sym(ty.clone(), &w, &inputs);
+    let objects = ConsensusObjectFactory { domain: 4 };
+    let rc_inputs = vec![Value::Int(0), Value::Int(0), Value::Int(1)];
+    let rc_sym = || build_simultaneous_rc_system_sym(&objects, &rc_inputs, 4);
+    let team = ExploreConfig {
+        crash: CrashModel::independent(1).after_decide(true),
+        inputs: Some(inputs.clone()),
+        ..ExploreConfig::default()
+    };
+    let rc = ExploreConfig {
+        crash: CrashModel::simultaneous(0).after_decide(true),
+        inputs: Some(rc_inputs.clone()),
+        ..ExploreConfig::default()
+    };
+    for mode in symmetry_modes() {
+        let (base, analysis_id) = match mode {
+            SymMode::Off | SymMode::Slots => (&team, "test/S_3"),
+            SymMode::Rebind => (&team, "test/masked-S_3"),
+            SymMode::Scalarset => (&rc, "test/simultaneous-rc-n3"),
         };
-        let reference = explore(&factory, &base);
-        assert!(reference.is_verified(), "{reference:?}");
-        for tier in StorageTier::ALL {
-            let config = ExploreConfig {
-                storage: tier,
-                spill_threshold: (tier == StorageTier::PackedSpill).then_some(512),
-                ..base.clone()
+        for por in por_modes() {
+            let config = if por {
+                por_config(base, analysis_id.into())
+            } else {
+                base.clone()
             };
-            let (serial, stats) = explore_with_stats(&factory, &config);
-            assert_eq!(serial, reference, "serial {tier} budget {budget}");
-            assert_eq!(stats.storage, tier);
-            if tier == StorageTier::PackedSpill {
-                assert!(
-                    stats.spilled_bytes > 0,
-                    "threshold 512 must spill at budget {budget}"
-                );
-            }
-            if tier == StorageTier::PackedFilter {
-                assert!(stats.filter_occupancy > 0);
-            }
-            for threads in thread_counts() {
-                let threaded = explore(&factory, &parallel_config(&config, threads));
-                assert_eq!(threaded, reference, "{tier} x{threads} budget {budget}");
-            }
+            let search = |spill_threshold: Option<usize>| {
+                let config = ExploreConfig {
+                    spill_threshold,
+                    ..config.clone()
+                };
+                match mode {
+                    SymMode::Off => explore_with_stats(&plain, &config),
+                    SymMode::Slots => explore_symmetric_with_stats(&sym, &config),
+                    SymMode::Rebind => explore_symmetric_with_stats(&masked_sym, &config),
+                    SymMode::Scalarset => explore_symmetric_with_stats(&rc_sym, &config),
+                }
+            };
+            let (resident, stats) = search(None);
+            assert!(resident.is_verified(), "{mode:?} por {por}: {resident:?}");
+            assert_eq!(stats.spilled_bytes, 0, "nothing spills without a threshold");
+            let (spilled, stats) = search(Some(512));
+            assert_eq!(
+                spilled, resident,
+                "{mode:?} por {por}: spilling changed the search"
+            );
+            assert!(
+                stats.spilled_bytes > 0,
+                "{mode:?} por {por}: threshold 512 must spill"
+            );
         }
     }
 }
 
-/// The `max_bytes` cap is exact and storage/thread-independent: the
-/// accounted cost model is a pure function of the accepted keys in
-/// canonical order, so a byte-capped search truncates at the identical
-/// state count under every tier and thread count — and a cap equal to
-/// the full space's accounted bytes still verifies. Also pins the
-/// routing contract: a byte-capped `threads: 1` run executes on the
-/// frontier engine.
+/// The `max_bytes` cap is exact. Each accepted state charges its packed
+/// key length plus 16 bytes, in the search's acceptance order, and the
+/// search stops at the first state that does not fit — so the states a
+/// cap admits are the longest prefix of the acceptance order whose
+/// account fits, and the smallest verifying cap (found by bisection) is
+/// the full search's account. At that cap the search verifies,
+/// identically to the uncapped search; one byte less truncates having
+/// accepted every state but the last, which pins the account at exactly
+/// the cap. A 2,000-byte cut truncates at the same state count with the
+/// table resident and spilling, and again on a second run.
 #[test]
-fn byte_cap_boundary_is_exact_across_tiers_and_threads() {
+fn byte_cap_boundary_is_exact() {
     let (ty, w, inputs) = sn_system(2);
     let factory = || build_team_rc_system(ty.clone(), &w, &inputs);
     let base = ExploreConfig {
@@ -1259,95 +1186,85 @@ fn byte_cap_boundary_is_exact_across_tiers_and_threads() {
         inputs: Some(inputs.clone()),
         ..ExploreConfig::default()
     };
-    // Generous cap: verifies, byte-identically to the uncapped search —
-    // but on the frontier engine even serially.
-    let reference = explore(&factory, &base);
-    let (capped, stats) = explore_with_stats(
-        &factory,
-        &ExploreConfig {
-            max_bytes: Some(1 << 30),
-            ..base.clone()
-        },
-    );
-    assert_eq!(capped, reference);
-    assert!(
-        stats.frontier,
-        "byte-capped serial runs must use the frontier engine"
-    );
-    // Tight cap: truncates, at the same accepted-state count everywhere.
-    let mut cut_states: Option<usize> = None;
-    for tier in StorageTier::ALL {
-        for threads in [1usize, 2, 8] {
-            let config = ExploreConfig {
-                max_bytes: Some(2_000),
-                storage: tier,
-                spill_threshold: (tier == StorageTier::PackedSpill).then_some(512),
-                threads,
-                workers_override: (threads > 1).then_some(threads),
-                shards_override: (threads > 1).then_some(threads),
+    let uncapped = explore(&factory, &base);
+    let ExploreOutcome::Verified { states: total, .. } = uncapped else {
+        panic!("S_2/budget-2 must verify: {uncapped:?}");
+    };
+    let capped = |max_bytes: usize, spill_threshold: Option<usize>| {
+        explore(
+            &factory,
+            &ExploreConfig {
+                max_bytes: Some(max_bytes),
+                spill_threshold,
                 ..base.clone()
-            };
-            match explore(&factory, &config) {
-                ExploreOutcome::Truncated { states } => {
-                    assert!(states > 0, "a 2000-byte cap fits more than the root");
-                    match cut_states {
-                        None => cut_states = Some(states),
-                        Some(expected) => {
-                            assert_eq!(states, expected, "byte-cap cut moved: {tier} x{threads}")
-                        }
-                    }
-                }
-                other => panic!("2000-byte cap must truncate S_2/budget-2: {other:?}"),
-            }
+            },
+        )
+    };
+    let (mut fails, mut fits) = (0usize, 1usize << 30);
+    assert!(capped(fits, None).is_verified(), "a 1 GiB cap must verify");
+    while fails + 1 < fits {
+        let mid = fails + (fits - fails) / 2;
+        if capped(mid, None).is_verified() {
+            fits = mid;
+        } else {
+            fails = mid;
         }
     }
+    let account = fits;
+    assert!(
+        account > total * 16,
+        "every state charges more than the 16-byte overhead: {account} for {total}"
+    );
+    assert_eq!(capped(account, None), uncapped, "the full account verifies");
+    assert_eq!(
+        capped(account - 1, None),
+        ExploreOutcome::Truncated { states: total - 1 },
+        "one byte short, only the last accepted state is cut"
+    );
+    let cut = match capped(2_000, None) {
+        ExploreOutcome::Truncated { states } => states,
+        other => panic!("a 2000-byte cap must truncate S_2/budget-2: {other:?}"),
+    };
+    assert!(cut > 0, "a 2000-byte cap fits more than the root");
+    assert_eq!(
+        capped(2_000, Some(512)),
+        ExploreOutcome::Truncated { states: cut },
+        "spilling must not move the byte-cap cut"
+    );
+    assert_eq!(
+        capped(2_000, None),
+        ExploreOutcome::Truncated { states: cut },
+        "the byte-cap cut repeats"
+    );
 }
 
 /// The memory/occupancy counters in [`rc_runtime::ExploreStats`] are
 /// populated and monotone in the searched space: growing the crash
 /// budget grows every byte account (more states, more interned values,
-/// a longer witness log), on the serial and frontier engines alike.
+/// a longer witness log).
 #[test]
 fn memory_counters_are_monotone_in_the_searched_space() {
     let (ty, w, inputs) = sn_system(2);
     let factory = || build_team_rc_system(ty.clone(), &w, &inputs);
-    for threads in [1usize, 2] {
-        let mut previous: Option<rc_runtime::ExploreStats> = None;
-        for budget in [0usize, 1, 2] {
-            let base = ExploreConfig {
-                crash: CrashModel::independent(budget).after_decide(true),
-                inputs: Some(inputs.clone()),
-                ..test_config()
-            };
-            let config = if threads > 1 {
-                parallel_config(&base, threads)
-            } else {
-                base
-            };
-            let (outcome, stats) = explore_with_stats(&factory, &config);
-            assert!(outcome.is_verified(), "{outcome:?}");
-            assert!(stats.interned_bytes > 0);
-            assert!(stats.table_bytes > 0);
-            assert!(stats.witness_bytes > 0);
-            assert!(stats.peak_table_bytes >= stats.table_bytes);
-            if let Some(prev) = previous {
-                assert!(stats.interned_bytes >= prev.interned_bytes, "x{threads}");
-                // Under the spill tier the *resident* table can shrink as
-                // the search grows (a bigger search freezes more runs to
-                // disk), so monotonicity is asserted on total stored
-                // bytes — resident plus spilled.
-                assert!(
-                    stats.table_bytes + stats.spilled_bytes
-                        >= prev.table_bytes + prev.spilled_bytes,
-                    "x{threads}"
-                );
-                assert!(stats.witness_bytes > prev.witness_bytes, "x{threads}");
-                assert!(
-                    stats.peak_table_bytes >= prev.peak_table_bytes,
-                    "x{threads}"
-                );
-            }
-            previous = Some(stats);
+    let mut previous: Option<rc_runtime::ExploreStats> = None;
+    for budget in [0usize, 1, 2] {
+        let config = ExploreConfig {
+            crash: CrashModel::independent(budget).after_decide(true),
+            inputs: Some(inputs.clone()),
+            ..ExploreConfig::default()
+        };
+        let (outcome, stats) = explore_with_stats(&factory, &config);
+        assert!(outcome.is_verified(), "{outcome:?}");
+        assert!(stats.interned_bytes > 0);
+        assert!(stats.table_bytes > 0);
+        assert!(stats.witness_bytes > 0);
+        assert!(stats.peak_table_bytes >= stats.table_bytes);
+        if let Some(prev) = previous {
+            assert!(stats.interned_bytes >= prev.interned_bytes);
+            assert!(stats.table_bytes >= prev.table_bytes);
+            assert!(stats.witness_bytes > prev.witness_bytes);
+            assert!(stats.peak_table_bytes >= prev.peak_table_bytes);
         }
+        previous = Some(stats);
     }
 }
