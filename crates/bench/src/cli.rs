@@ -12,8 +12,15 @@ pub const EXPERIMENT_IDS: &[&str] = &[
     "e16", "e17", "e18",
 ];
 
+/// The experiments whose rows `BENCH_explore.json` records, in file
+/// order. `--snapshot` requires every one of them to be selected: a
+/// partial run would overwrite the committed rows of the rest.
+pub const SNAPSHOT_IDS: &[&str] = &["e11", "e12", "e13", "e15", "e16", "e17", "e18"];
+
 /// The `tables --help` text.
-pub const USAGE: &str = "\
+pub fn usage() -> String {
+    format!(
+        "\
 usage: tables [--fast] [--snapshot] [e1 ... e18]
        tables --list
        tables lint [--fast]
@@ -21,19 +28,23 @@ usage: tables [--fast] [--snapshot] [e1 ... e18]
 Prints the experiment tables E1-E18 (all of them when no id is given).
 
   --fast      smaller sample counts
-  --snapshot  refresh BENCH_explore.json (needs e11 e12 e13 e15 e16 e17 e18)
+  --snapshot  refresh BENCH_explore.json (needs {})
   --list      print the experiment ids, one per line, and exit
   lint        run the E14 catalog audit; exit 1 if any system fails it
   -h, --help  print this help and exit
 
-Unknown ids and flags exit 2.";
+Unknown ids and flags exit 2.",
+        SNAPSHOT_IDS.join(" ")
+    )
+}
 
 /// Parsed `tables` arguments.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TablesArgs {
     /// Smaller sample counts (`--fast`).
     pub fast: bool,
-    /// Write the `BENCH_explore.json` snapshot after E11 (`--snapshot`).
+    /// Write the `BENCH_explore.json` snapshot after the selected
+    /// experiments ran (`--snapshot`; requires every [`SNAPSHOT_IDS`]).
     pub snapshot: bool,
     /// Print the experiment ids, one per line, and exit (`--list`) — CI
     /// diffs this against the experiments indexed in EXPERIMENTS.md so
@@ -44,7 +55,7 @@ pub struct TablesArgs {
     pub lint: bool,
     /// Lower-cased experiment ids to print; empty means all.
     pub selected: Vec<String>,
-    /// Print [`USAGE`] and exit 0 (`--help`, `-h`); the other arguments
+    /// Print [`usage`] and exit 0 (`--help`, `-h`); the other arguments
     /// are still parsed, so a typo next to `--help` is still an error.
     pub help: bool,
 }
@@ -118,23 +129,17 @@ where
                 .into(),
         );
     }
-    if parsed.snapshot
-        && !(parsed.wants("e11")
-            && parsed.wants("e12")
-            && parsed.wants("e13")
-            && parsed.wants("e15")
-            && parsed.wants("e16")
-            && parsed.wants("e17")
-            && parsed.wants("e18"))
-    {
-        return Err(
-            "--snapshot records the E11 engine sweep, the E12 symmetry sweep, the E13 \
-             full-state sweep, the E15 partial-order-reduction sweep, the E16 \
-             storage-tier sweep, the E17 scalarset-symmetry sweep and the E18 swarm \
-             sweep, but e11, e12, e13, e15, e16, e17 and e18 are not all among the \
-             selected experiment ids"
-                .into(),
-        );
+    let missing: Vec<&str> = SNAPSHOT_IDS
+        .iter()
+        .copied()
+        .filter(|id| !parsed.wants(id))
+        .collect();
+    if parsed.snapshot && !missing.is_empty() {
+        return Err(format!(
+            "--snapshot records the rows of {}; not selected: {}",
+            SNAPSHOT_IDS.join(", "),
+            missing.join(", ")
+        ));
     }
     Ok(parsed)
 }
@@ -155,22 +160,14 @@ mod tests {
 
     #[test]
     fn subset_and_flags() {
-        let args = parse_args([
-            "E4",
-            "e11",
-            "e12",
-            "e13",
-            "e15",
-            "e16",
-            "e17",
-            "e18",
-            "--fast",
-            "--snapshot",
-        ])
-        .expect("valid");
+        let mut argv = vec!["E4", "--fast", "--snapshot"];
+        argv.extend_from_slice(SNAPSHOT_IDS);
+        let args = parse_args(argv).expect("valid");
         assert!(args.fast && args.snapshot);
-        assert!(args.wants("e4") && args.wants("e11") && args.wants("e12") && args.wants("e13"));
-        assert!(args.wants("e15") && args.wants("e16") && args.wants("e17") && args.wants("e18"));
+        assert!(args.wants("e4"));
+        for id in SNAPSHOT_IDS {
+            assert!(args.wants(id), "{id}");
+        }
         assert!(!args.wants("e1"));
     }
 
@@ -183,18 +180,9 @@ mod tests {
         assert!(parse_args(["--list"]).expect("valid").list);
         assert!(!parse_args(Vec::<&str>::new()).expect("valid").list);
         assert!(parse_args(["e4", "--list"]).expect("valid").list);
-        let err = parse_args([
-            "e11",
-            "e12",
-            "e13",
-            "e15",
-            "e16",
-            "e17",
-            "e18",
-            "--snapshot",
-            "--list",
-        ])
-        .expect_err("must reject the silent snapshot skip");
+        let mut argv = SNAPSHOT_IDS.to_vec();
+        argv.extend(["--snapshot", "--list"]);
+        let err = parse_args(argv).expect_err("must reject the silent snapshot skip");
         assert!(err.contains("--snapshot"), "{err}");
     }
 
@@ -222,47 +210,28 @@ mod tests {
 
     /// `--snapshot` without every snapshot experiment in the selection
     /// would silently skip part of the snapshot write — the same
-    /// silent-no-op shape as the unknown-id bug, so it is rejected too.
-    /// (E15 joined the snapshot set with the schema-2 `e15_rows`; E16
-    /// joined with the schema-3 `e16_rows`; E17 with the schema-4
-    /// `e17_rows`; E18 with the schema-5 `e18_rows`.)
+    /// silent-no-op shape as the unknown-id bug, so it is rejected too,
+    /// naming the missing ids: with none of them selected, and with
+    /// each proper prefix of [`SNAPSHOT_IDS`] selected.
     #[test]
     fn snapshot_requires_e11_through_e18_in_the_selection() {
         let err = parse_args(["e4", "--snapshot"]).expect_err("must reject");
-        assert!(err.contains("e11"), "{err}");
-        assert!(err.contains("e12"), "{err}");
-        assert!(err.contains("e13"), "{err}");
-        assert!(err.contains("e15"), "{err}");
-        assert!(err.contains("e16"), "{err}");
-        assert!(err.contains("e17"), "{err}");
-        assert!(err.contains("e18"), "{err}");
-        let err = parse_args(["e11", "--snapshot"]).expect_err("e12..e18 missing");
-        assert!(err.contains("e12"), "{err}");
-        let err = parse_args(["e11", "e12", "--snapshot"]).expect_err("e13..e18 missing");
-        assert!(err.contains("e13"), "{err}");
-        let err = parse_args(["e11", "e12", "e13", "--snapshot"]).expect_err("e15..e18 missing");
-        assert!(err.contains("e15"), "{err}");
-        let err =
-            parse_args(["e11", "e12", "e13", "e15", "--snapshot"]).expect_err("e16..e18 missing");
-        assert!(err.contains("e16"), "{err}");
-        let err = parse_args(["e11", "e12", "e13", "e15", "e16", "--snapshot"])
-            .expect_err("e17/e18 missing");
-        assert!(err.contains("e17"), "{err}");
-        let err = parse_args(["e11", "e12", "e13", "e15", "e16", "e17", "--snapshot"])
-            .expect_err("e18 missing");
-        assert!(err.contains("e18"), "{err}");
-        assert!(parse_args([
-            "e4",
-            "e11",
-            "e12",
-            "e13",
-            "e15",
-            "e16",
-            "e17",
-            "e18",
-            "--snapshot"
-        ])
-        .is_ok());
+        for id in SNAPSHOT_IDS {
+            assert!(err.contains(id), "{err} should name {id}");
+        }
+        for k in 1..SNAPSHOT_IDS.len() {
+            let mut argv = SNAPSHOT_IDS[..k].to_vec();
+            argv.push("--snapshot");
+            let err = parse_args(argv).expect_err("a snapshot id is missing");
+            assert!(
+                err.contains(&format!("not selected: {}", SNAPSHOT_IDS[k])),
+                "{err} should name {} first",
+                SNAPSHOT_IDS[k]
+            );
+        }
+        let mut argv = vec!["e4", "--snapshot"];
+        argv.extend_from_slice(SNAPSHOT_IDS);
+        assert!(parse_args(argv).is_ok());
         assert!(
             parse_args(["--snapshot"]).is_ok(),
             "empty selection runs everything"
@@ -281,17 +250,7 @@ mod tests {
         for combo in [
             vec!["lint", "e4"],
             vec!["lint", "--list"],
-            vec![
-                "lint",
-                "e11",
-                "e12",
-                "e13",
-                "e15",
-                "e16",
-                "e17",
-                "e18",
-                "--snapshot",
-            ],
+            [&["lint", "--snapshot"], SNAPSHOT_IDS].concat(),
         ] {
             let err = parse_args(combo.clone()).expect_err("must reject");
             assert!(err.contains("lint"), "{combo:?}: {err}");
@@ -330,6 +289,8 @@ mod tests {
             assert!(parse_args([flag, "--frobnicate"]).is_err());
         }
         assert!(!parse_args(["e4"]).expect("valid").help);
-        assert!(USAGE.contains("--fast") && USAGE.contains("lint"));
+        let usage = usage();
+        assert!(usage.contains("--fast") && usage.contains("lint"));
+        assert!(usage.contains(&SNAPSHOT_IDS.join(" ")));
     }
 }

@@ -1,15 +1,21 @@
 //! The experiments (E1–E18); each returns a rendered report.
 
+use crate::matrix::{
+    col, largest_reduction, render, run_sweep, Column, Expect, ExploreRow, Instance, Run, System,
+    BYTE_CAP, CAP, CRASH_BUDGET, LEAVES, MODE, MS, OFF, ON, PEAK_MB, POR, POR_REBIND, RATE, REBIND,
+    REDUCTION, SCALARSET, SCALARSET_POR, SLOTS, SLOTS_DECLARED, SPILL_MB, STATES, SYSTEM, TIER,
+    UNREDUCED, VERDICT, WITNESS_MB,
+};
+use crate::snapshot::{Json, JsonRow};
 use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rc_core::algorithms::{
     build_broken_team_rc_system, build_broken_team_rc_system_sym,
     build_masked_broken_team_rc_system_sym, build_masked_team_consensus_system_sym,
-    build_masked_team_rc_system, build_masked_team_rc_system_sym, build_simultaneous_rc_system,
-    build_simultaneous_rc_system_sym, build_team_consensus_system, build_team_consensus_system_sym,
-    build_team_rc_system, build_team_rc_system_sym, build_tournament_consensus,
-    build_tournament_rc, ConsensusObjectFactory,
+    build_masked_team_rc_system_sym, build_simultaneous_rc_system_sym, build_team_consensus_system,
+    build_team_consensus_system_sym, build_team_rc_system, build_team_rc_system_sym,
+    build_tournament_consensus, build_tournament_rc, ConsensusObjectFactory,
 };
 use rc_core::{
     check_discerning, check_recording, compute_hierarchy, find_recording_witness, is_discerning,
@@ -17,9 +23,7 @@ use rc_core::{
 };
 use rc_runtime::sched::{RandomScheduler, RandomSchedulerConfig, RoundRobin};
 use rc_runtime::verify::check_consensus_execution;
-use rc_runtime::{
-    explore, explore_with_stats, run, CrashModel, ExploreConfig, Memory, Program, RunOptions,
-};
+use rc_runtime::{explore, run, CrashModel, ExploreConfig, Memory, Program, RunOptions};
 use rc_spec::catalog::{catalog, ConsensusNumber};
 use rc_spec::random::{random_table_type, RandomTypeConfig};
 use rc_spec::types::{Cas, Sn, Stack, Tn};
@@ -816,85 +820,11 @@ pub fn e10_headline(seeds: u64) -> String {
     )
 }
 
-/// One measured configuration of the E11 engine sweep.
-#[derive(Clone, Debug)]
-pub struct E11Row {
-    /// System under check, e.g. `"S_3"` (the Fig. 2 team-RC algorithm
-    /// over that type, as in E2).
-    pub system: String,
-    /// Crash budget of the (independent, post-decide) adversary.
-    pub crash_budget: usize,
-    /// `Verified` / `Truncated` (any violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — the peak state count of the search.
-    pub states: usize,
-    /// Complete executions enumerated (memoized suffixes counted once).
-    pub leaves: usize,
-    /// Wall-clock milliseconds (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-}
-
-fn e11_measure(
-    system: &str,
-    budget: usize,
-    factory: &rc_runtime::SystemFactory<'_>,
-    config: &ExploreConfig,
-) -> E11Row {
-    use rc_runtime::ExploreOutcome;
-    use std::time::{Duration, Instant};
-    let run_once = || explore(factory, config);
-    // Single runs of small instances are milliseconds — far below timer
-    // noise. Repeat until a time floor is reached (minimum three runs,
-    // first discarded as warm-up) and report the best run, the standard
-    // throughput methodology.
-    let mut best = Duration::MAX;
-    let mut total = Duration::ZERO;
-    let mut outcome = run_once(); // warm-up, also the reported verdict
-    let mut runs = 0u32;
-    while runs < 3 || (total < Duration::from_millis(200) && runs < 50) {
-        let start = Instant::now();
-        outcome = run_once();
-        let elapsed = start.elapsed();
-        total += elapsed;
-        best = best.min(elapsed);
-        runs += 1;
-    }
-    let (verdict, states, leaves) = match outcome {
-        ExploreOutcome::Verified { states, leaves } => ("Verified".to_string(), states, leaves),
-        ExploreOutcome::Truncated { states } => ("Truncated".to_string(), states, 0),
-        ExploreOutcome::Violation { schedule, .. } => {
-            panic!(
-                "E11 systems are correct; violation after {} actions",
-                schedule.len()
-            )
-        }
-    };
-    E11Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-    }
-}
-
-/// E11: model-checker engine scaling — states/sec and peak state counts
-/// of the serial DFS on the Fig. 2 team-RC workload (the E2 systems),
-/// `S_2..S_5` × crash budgets.
-///
-/// The adversary matches E2: independent crashes, post-decide crashes
-/// enabled, validity inputs declared. State and leaf counts are
-/// deterministic; wall-clock figures are machine-dependent (`BENCH_explore.json` tracks them across PRs
-/// on the reference machine — the seed recursive engine's last recorded
-/// baseline lives in EXPERIMENTS.md §E11 and the git history of that
-/// file, the engine itself is deleted).
-pub fn e11_explore_scaling(fast: bool) -> (String, Vec<E11Row>) {
-    // (n, crash budgets): bigger systems get smaller budgets to keep the
-    // exact search inside the default state cap.
+/// E11's sweep: Fig. 2 team RC over `S_n` × crash budgets, unreduced.
+/// Bigger systems get smaller budgets to keep the exact search inside
+/// the default state cap. The adversary matches E2: independent crashes,
+/// post-decide crashes enabled, validity inputs declared.
+pub(crate) fn e11_sweep(fast: bool) -> Vec<Instance> {
     let sweep: &[(usize, &[usize])] = if fast {
         &[(2, &[0, 1, 2]), (3, &[0, 1, 2]), (4, &[0, 1])]
     } else {
@@ -905,253 +835,79 @@ pub fn e11_explore_scaling(fast: bool) -> (String, Vec<E11Row>) {
             (5, &[0, 1]),
         ]
     };
-    let mut rows = Vec::new();
-    for &(n, budgets) in sweep {
-        let (ty, w) = sn_witness(n);
-        let inputs = team_inputs(&w.assignment);
-        let system = format!("S_{n}");
-        let factory = || build_team_rc_system(ty.clone(), &w, &inputs);
-        for &budget in budgets {
-            let config = ExploreConfig {
-                crash: CrashModel::independent(budget).after_decide(true),
-                inputs: Some(inputs.clone()),
-                ..ExploreConfig::default()
-            };
-            rows.push(e11_measure(&system, budget, &factory, &config));
-        }
-    }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-        ]);
-    }
+    sweep
+        .iter()
+        .flat_map(|&(n, budgets)| {
+            budgets
+                .iter()
+                .map(move |&b| Instance::independent(System::Fig2 { n }, b).modes(&[OFF]))
+        })
+        .collect()
+}
+
+/// E11: model-checker engine scaling — states/sec and peak state counts
+/// of the serial DFS on the Fig. 2 team-RC workload (`e11_sweep`).
+///
+/// State and leaf counts are deterministic; wall-clock figures are
+/// machine-dependent (`BENCH_explore.json` tracks them across PRs on
+/// the reference machine — the seed recursive engine's last recorded
+/// baseline lives in EXPERIMENTS.md §E11 and the git history of that
+/// file, the engine itself is deleted).
+pub fn e11_explore_scaling(fast: bool) -> (String, Vec<ExploreRow>) {
+    let rows = run_sweep("E11", &e11_sweep(fast));
     let report = format!(
         "E11 — model-checker engine scaling (Fig. 2 team-RC workload, \
          independent crashes, post-decide enabled):\n{}\nstates/leaves \
          are deterministic, wall-clock is machine-dependent.\n",
-        t.render()
+        render(
+            &rows,
+            &[SYSTEM, CRASH_BUDGET, VERDICT, STATES, LEAVES, MS, RATE]
+        )
     );
     (report, rows)
 }
 
-/// One measured configuration of the E12 symmetry sweep.
-#[derive(Clone, Debug)]
-pub struct E12Row {
-    /// System under check (Fig. 2 team-RC over `S_n`, as in E2/E11).
-    pub system: String,
-    /// Crash budget of the (independent, post-decide) adversary.
-    pub crash_budget: usize,
-    /// The `max_states` cap this row ran under (the default cap unless
-    /// the row demonstrates cap-exceed behaviour).
-    pub max_states: usize,
-    /// `"off"` (plain serial DFS) or `"on"` (process-symmetry reduction).
-    pub symmetry: &'static str,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — canonical representatives when
-    /// symmetry is on.
-    pub states: usize,
-    /// Complete executions enumerated; symmetry-on rows weight each
-    /// canonical leaf by its permutation-class size, so Verified rows
-    /// match the off rows exactly (asserted).
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the best run (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// `states(off) / states(on)` for the on rows (1.0 for off rows);
-    /// for the cap-exceed demonstration the off side is a lower bound.
-    pub reduction: f64,
-}
-
-/// The E12/E13 sweeps' shared measurement policy — lighter repetition
-/// than E11 (min one run, 200 ms floor, 30-run cap): their headline
-/// figures are the deterministic state counts; the throughput columns
-/// are secondary. Returns the verdict string, state and leaf counts and
-/// the best run's wall clock. Panics on a violation (both sweeps check
-/// correct systems only), naming `experiment`.
-fn measure_sweep_run(
-    experiment: &str,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> (String, usize, usize, std::time::Duration) {
-    use rc_runtime::ExploreOutcome;
-    use std::time::{Duration, Instant};
-    let mut best = Duration::MAX;
-    let mut total = Duration::ZERO;
-    let mut outcome;
-    let mut runs = 0u32;
-    loop {
-        let start = Instant::now();
-        outcome = Some(run_once());
-        let elapsed = start.elapsed();
-        total += elapsed;
-        best = best.min(elapsed);
-        runs += 1;
-        if runs >= 30 || total >= Duration::from_millis(200) {
-            break;
-        }
+/// E12's sweep: Fig. 2 team RC over `S_3..S_6` × crash budgets with
+/// symmetry off and on, plus (full sweep only — the off side costs a
+/// cap-length run) the `S_8`/budget-0 cap-exceed demonstration.
+pub(crate) fn e12_sweep(fast: bool) -> Vec<Instance> {
+    let sweep: &[(usize, &[usize])] = if fast {
+        &[(3, &[1, 2]), (4, &[1])]
+    } else {
+        &[(3, &[1, 2]), (4, &[1, 2]), (5, &[0, 1]), (6, &[0, 1])]
+    };
+    let instance = |n: usize, budget: usize| {
+        Instance::independent(System::Fig2 { n }, budget).modes(&[OFF, ON])
+    };
+    let mut instances: Vec<Instance> = sweep
+        .iter()
+        .flat_map(|&(n, budgets)| {
+            budgets
+                .iter()
+                .map(move |&b| instance(n, b).expect(&[Expect::AllVerify, Expect::Fewer(ON, OFF)]))
+        })
+        .collect();
+    if !fast {
+        instances.push(instance(8, 0).expect(&[Expect::Truncates(OFF), Expect::Verifies(ON)]));
     }
-    match outcome.expect("at least one run") {
-        ExploreOutcome::Verified { states, leaves } => {
-            ("Verified".to_string(), states, leaves, best)
-        }
-        ExploreOutcome::Truncated { states } => ("Truncated".to_string(), states, 0, best),
-        ExploreOutcome::Violation { schedule, .. } => panic!(
-            "{experiment} systems are correct; violation after {} actions",
-            schedule.len()
-        ),
-    }
-}
-
-fn e12_measure(
-    system: &str,
-    budget: usize,
-    symmetry: &'static str,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> E12Row {
-    let (verdict, states, leaves, best) = measure_sweep_run("E12", run_once);
-    E12Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        max_states: config.max_states,
-        symmetry,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        reduction: 1.0,
-    }
+    instances
 }
 
 /// E12: process-symmetry reduction — states visited and states/sec with
-/// symmetry off vs on on the Fig. 2 team-RC workload, `S_3..S_6` ×
-/// crash budgets, plus the cap-exceed demonstration: `S_8`/budget-0
-/// exceeds the default 5M-state cap without symmetry (`Truncated`) and
-/// reaches an exact `Verified` verdict with it.
+/// symmetry off vs on on the Fig. 2 team-RC workload (`e12_sweep`):
+/// `S_8`/budget-0 exceeds the default 5M-state cap without symmetry
+/// (`Truncated`) and reaches an exact `Verified` verdict with it.
 ///
 /// The `S_n` witness has one team-A row and `n − 1` identical team-B
 /// rows, so the symmetric search collapses the team-B orbit — up to
 /// `(n−1)!` states per class. Verdicts and (weighted) leaf counts are
 /// asserted identical between the off and on rows of every
 /// both-verifying configuration.
-pub fn e12_symmetry_reduction(fast: bool) -> (String, Vec<E12Row>) {
-    let sweep: &[(usize, &[usize])] = if fast {
-        &[(3, &[1, 2]), (4, &[1])]
-    } else {
-        &[(3, &[1, 2]), (4, &[1, 2]), (5, &[0, 1]), (6, &[0, 1])]
-    };
-    let mut rows = Vec::new();
-    let sweep_one = |n: usize, budget: usize, config: &ExploreConfig| -> (E12Row, E12Row) {
-        let (ty, w) = sn_witness(n);
-        let inputs = team_inputs(&w.assignment);
-        let system = format!("S_{n}");
-        let config = ExploreConfig {
-            crash: CrashModel::independent(budget).after_decide(true),
-            inputs: Some(inputs.clone()),
-            ..config.clone()
-        };
-        let off = e12_measure(&system, budget, "off", &config, &|| {
-            explore(&|| build_team_rc_system(ty.clone(), &w, &inputs), &config)
-        });
-        let mut on = e12_measure(&system, budget, "on", &config, &|| {
-            rc_runtime::explore_symmetric(
-                &|| build_team_rc_system_sym(ty.clone(), &w, &inputs),
-                &config,
-            )
-        });
-        on.reduction = off.states as f64 / on.states as f64;
-        (off, on)
-    };
-    for &(n, budgets) in sweep {
-        for &budget in budgets {
-            let (off, on) = sweep_one(n, budget, &ExploreConfig::default());
-            assert_eq!(
-                off.verdict, on.verdict,
-                "S_{n}/{budget}: verdicts must agree"
-            );
-            assert_eq!(
-                off.leaves, on.leaves,
-                "S_{n}/{budget}: weighted leaf counts must agree"
-            );
-            assert!(
-                on.states < off.states,
-                "S_{n}/{budget}: symmetry must reduce states"
-            );
-            rows.push(off);
-            rows.push(on);
-        }
-    }
-    // The cap-exceed demonstration (full sweep only — the off side costs
-    // a cap-length run): S_8/budget-0 truncates at the default cap
-    // without symmetry and verifies exactly with it.
-    if !fast {
-        let (off, on) = sweep_one(8, 0, &ExploreConfig::default());
-        assert_eq!(
-            off.verdict, "Truncated",
-            "S_8/0 must exceed the default cap"
-        );
-        assert_eq!(on.verdict, "Verified", "S_8/0 must verify under symmetry");
-        rows.push(off);
-        rows.push(on);
-    }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "cap",
-        "symmetry",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-        "reduction",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.max_states.to_string(),
-            r.symmetry.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-            if r.symmetry == "on" {
-                format!("{:.1}×", r.reduction)
-            } else {
-                "1.0×".into()
-            },
-        ]);
-    }
-    let headline = rows
-        .iter()
-        .filter(|r| r.symmetry == "on" && r.verdict == "Verified")
-        .map(|r| (r.reduction, r.system.clone(), r.crash_budget))
-        .fold((0.0f64, String::new(), 0usize), |acc, x| {
-            if x.0 > acc.0 {
-                x
-            } else {
-                acc
-            }
-        });
+pub fn e12_symmetry_reduction(fast: bool) -> (String, Vec<ExploreRow>) {
+    let rows = run_sweep("E12", &e12_sweep(fast));
+    // E12's modes are symmetry off/on, so its mode column reads `symmetry`.
+    let mut columns = REDUCTION_COLUMNS;
+    columns[3] = col("symmetry", MODE.cell);
     let cap_note = if fast {
         "(the S_8 cap-exceed demonstration runs in the full sweep only)"
     } else {
@@ -1161,80 +917,63 @@ pub fn e12_symmetry_reduction(fast: bool) -> (String, Vec<E12Row>) {
     let report = format!(
         "E12 — process-symmetry reduction (Fig. 2 team-RC workload; the team-B \
          orbit of the S_n witness collapses, up to (n−1)! states per class):\n{}\n\
-         largest recorded reduction: {:.1}× on {}/budget-{}; verdicts and weighted \
+         largest recorded reduction: {}; verdicts and weighted \
          leaf counts are identical with symmetry off and on (asserted), witness \
          schedules stay in original process ids, and {cap_note}.\n",
-        t.render(),
-        headline.0,
-        headline.1,
-        headline.2,
+        render(&rows, &columns),
+        largest_reduction(&rows, ON),
     );
     (report, rows)
 }
 
-/// One measured configuration of the E13 full-state symmetry sweep.
-#[derive(Clone, Debug)]
-pub struct E13Row {
-    /// System under check: `"masked S_n"` (the input-masked Fig. 2
-    /// team-RC system — per-process mask registers, the introduction's
-    /// transformation) or `"SimultaneousRc n=k"` (Fig. 4 over atomic
-    /// consensus objects).
-    pub system: String,
-    /// Crash budget (independent + post-decide for the masked systems,
-    /// simultaneous + post-decide for Fig. 4).
-    pub crash_budget: usize,
-    /// The `max_states` cap the row ran under.
-    pub max_states: usize,
-    /// `"off"` (plain engine), `"slots"` (the strongest *slots-only*
-    /// declaration PR 4 allowed — singleton orbits on these systems, so
-    /// byte-identical to off; asserted) or `"rebind"` (owned-cell orbits
-    /// with `Program::rebind`).
-    pub mode: &'static str,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — canonical representatives under
-    /// `rebind`.
-    pub states: usize,
-    /// Weighted executions enumerated; Verified `rebind` rows must match
-    /// the off rows exactly (asserted).
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the best run (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// `states(off) / states(this row)`; a **lower bound** when the off
-    /// side truncated at the cap (see `reduction_is_lower_bound`).
-    pub reduction: f64,
-    /// Whether `reduction` is a lower bound (off side hit the cap).
-    pub reduction_is_lower_bound: bool,
-}
-
-fn e13_measure(
-    system: &str,
-    budget: usize,
-    mode: &'static str,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> E13Row {
-    let (verdict, states, leaves, best) = measure_sweep_run("E13", run_once);
-    E13Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        max_states: config.max_states,
-        mode,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        reduction: 1.0,
-        reduction_is_lower_bound: false,
-    }
+/// E13's sweep: masked `S_n` instances under off / slots / rebind, and
+/// one Fig. 4 instance under off and its scalarset declaration. The off
+/// search of masked `S_7`/`S_8` at budget 0 is a cap-length run (~5M
+/// states), so the fast sweep skips those sizes and the full sweep
+/// measures the (identical-by-construction) slots rows only where the
+/// off side verifies quickly.
+pub(crate) fn e13_sweep(fast: bool) -> Vec<Instance> {
+    // (n, budget, slots row) per masked instance.
+    let masked: &[(usize, usize, bool)] = if fast {
+        &[(4, 0, true), (4, 1, true), (5, 0, false)]
+    } else {
+        &[
+            (5, 0, true),
+            (5, 1, true),
+            (6, 0, true),
+            (7, 0, false),
+            (8, 0, false),
+        ]
+    };
+    let mut instances: Vec<Instance> = masked
+        .iter()
+        .map(|&(n, budget, slots)| {
+            let inst = Instance::independent(System::MaskedFig2 { n }, budget);
+            let inst = if slots {
+                inst.modes(&[SLOTS]).expect(&[Expect::Same(SLOTS, OFF)])
+            } else {
+                inst
+            };
+            inst.modes(&[OFF, REBIND])
+                .expect(&[Expect::Verifies(REBIND), Expect::Fewer(REBIND, OFF)])
+        })
+        .collect();
+    // Fig. 4 under all-distinct inputs: every orbit is a singleton, so
+    // the certified scalarset declaration is inert and the quotient is
+    // the identity (the E14 audit warns exactly this); E17 measures the
+    // acting-orbit instances, where the same declaration reduces.
+    instances.push(
+        Instance::simultaneous(System::fig4(&[0, 1, 2]), 1)
+            .modes(&[OFF, SLOTS_DECLARED])
+            .expect(&[Expect::Same(SLOTS_DECLARED, OFF)]),
+    );
+    instances
 }
 
 /// E13: **full-state** symmetry via `Program::rebind` — the systems
 /// PR 4's slots-only reduction had to keep asymmetric because each
-/// process owns distinguishing shared cells. Three modes per instance:
+/// process owns distinguishing shared cells (`e13_sweep`). Three modes
+/// per masked instance:
 ///
 /// * `off` — the plain engine;
 /// * `slots` — the strongest slots-only declaration that is *sound* on
@@ -1257,171 +996,8 @@ fn e13_measure(
 /// *scalarset* kind instead (E17); here the all-distinct inputs leave
 /// every orbit a singleton, so the family is inert and the sym row is
 /// byte-identical to `off`.
-pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<E13Row>) {
-    // (n, budgets, slots_row, off_row) per masked S_n instance: the off
-    // search of S_7/S_8 at budget 0 is a cap-length run (~5M states), so
-    // the fast sweep skips those sizes entirely and the full sweep
-    // measures the (identical-by-construction) slots rows only where the
-    // off side verifies quickly.
-    let masked_sweep: &[(usize, &[usize], bool)] = if fast {
-        &[(4, &[0, 1], true), (5, &[0], false)]
-    } else {
-        &[
-            (5, &[0, 1], true),
-            (6, &[0], true),
-            (7, &[0], false),
-            (8, &[0], false),
-        ]
-    };
-    let mut rows: Vec<E13Row> = Vec::new();
-    for &(n, budgets, measure_slots) in masked_sweep {
-        let (ty, w) = sn_witness(n);
-        let inputs = team_inputs(&w.assignment);
-        let system = format!("masked S_{n}");
-        for &budget in budgets {
-            let config = ExploreConfig {
-                crash: CrashModel::independent(budget).after_decide(true),
-                inputs: Some(inputs.clone()),
-                ..ExploreConfig::default()
-            };
-            let off = e13_measure(&system, budget, "off", &config, &|| {
-                explore(
-                    &|| build_masked_team_rc_system(ty.clone(), &w, &inputs),
-                    &config,
-                )
-            });
-            if measure_slots {
-                let slots = e13_measure(&system, budget, "slots", &config, &|| {
-                    rc_runtime::explore_symmetric(
-                        &|| {
-                            let (mem, programs) =
-                                build_masked_team_rc_system(ty.clone(), &w, &inputs);
-                            let n = programs.len();
-                            (mem, programs, rc_runtime::SymmetrySpec::trivial(n))
-                        },
-                        &config,
-                    )
-                });
-                assert_eq!(
-                    (&slots.verdict, slots.states, slots.leaves),
-                    (&off.verdict, off.states, off.leaves),
-                    "{system}/{budget}: slots-only is the identity on masked systems"
-                );
-                rows.push(slots);
-            }
-            let mut on = e13_measure(&system, budget, "rebind", &config, &|| {
-                rc_runtime::explore_symmetric(
-                    &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                    &config,
-                )
-            });
-            assert_eq!(
-                on.verdict, "Verified",
-                "{system}/{budget} must verify under rebind"
-            );
-            if off.verdict == "Verified" {
-                assert_eq!(
-                    on.leaves, off.leaves,
-                    "{system}/{budget}: weighted leaf counts must agree"
-                );
-                assert!(
-                    on.states < off.states,
-                    "{system}/{budget}: rebind must reduce states"
-                );
-            } else {
-                on.reduction_is_lower_bound = true;
-            }
-            on.reduction = off.states as f64 / on.states as f64;
-            rows.push(off);
-            rows.push(on);
-        }
-    }
-    // Fig. 4 rows: off and the certified scalarset declaration under
-    // all-distinct inputs — every orbit is a singleton, so the family
-    // is inert here and the quotient is the identity (the E14 audit
-    // warns exactly this); E17 measures the acting-orbit instances,
-    // where the same declaration reduces.
-    {
-        let n = 3;
-        let budget = 1;
-        let factory = ConsensusObjectFactory { domain: 4 };
-        let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-        let horizon = 4;
-        let system = format!("SimultaneousRc n={n}");
-        let config = ExploreConfig {
-            crash: CrashModel::simultaneous(budget).after_decide(true),
-            inputs: Some(inputs.clone()),
-            ..ExploreConfig::default()
-        };
-        let off = e13_measure(&system, budget, "off", &config, &|| {
-            explore(
-                &|| build_simultaneous_rc_system(&factory, &inputs, horizon),
-                &config,
-            )
-        });
-        let slots = e13_measure(&system, budget, "slots", &config, &|| {
-            rc_runtime::explore_symmetric(
-                &|| build_simultaneous_rc_system_sym(&factory, &inputs, horizon),
-                &config,
-            )
-        });
-        assert_eq!(
-            (&slots.verdict, slots.states, slots.leaves),
-            (&off.verdict, off.states, off.leaves),
-            "distinct inputs leave the scalarset family inert, so outcomes \
-             are identical"
-        );
-        rows.push(off);
-        rows.push(slots);
-    }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "cap",
-        "mode",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-        "reduction",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.max_states.to_string(),
-            r.mode.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-            match (r.mode, r.reduction_is_lower_bound) {
-                ("rebind", true) => format!("≥{:.1}×", r.reduction),
-                ("rebind", false) => format!("{:.1}×", r.reduction),
-                _ => "1.0×".into(),
-            },
-        ]);
-    }
-    let headline = rows
-        .iter()
-        .filter(|r| r.mode == "rebind")
-        .map(|r| {
-            (
-                r.reduction,
-                r.reduction_is_lower_bound,
-                r.system.clone(),
-                r.crash_budget,
-            )
-        })
-        .fold((0.0f64, false, String::new(), 0usize), |acc, x| {
-            if x.0 > acc.0 {
-                x
-            } else {
-                acc
-            }
-        });
+pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<ExploreRow>) {
+    let rows = run_sweep("E13", &e13_sweep(fast));
     let cap_note = if fast {
         "(the Truncated-without-rebind demonstrations on masked S_7/S_8 run \
          in the full sweep only)"
@@ -1435,7 +1011,7 @@ pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<E13Row>) {
          team-RC: per-process mask registers permute with their owners; \
          slots-only must keep masked processes in singleton orbits, so it \
          equals off — asserted):\n{}\n\
-         largest recorded reduction: {}{:.1}× on {}/budget-{}; Verified \
+         largest recorded reduction: {}; Verified \
          rebind rows match off verdicts and weighted leaf counts exactly \
          (asserted), witnesses replay in original pids (tested), and \
          {cap_note}. Fig. 4 (SimultaneousRc) rows stay slots-only here: \
@@ -1444,164 +1020,64 @@ pub fn e13_full_state_symmetry(fast: bool) -> (String, Vec<E13Row>) {
          owner-only soundness validation (tested in rc-core) — the \
          registers reduce under the certified *scalarset* fragment \
          instead (E17).\n",
-        t.render(),
-        if headline.1 { "≥" } else { "" },
-        headline.0,
-        headline.2,
-        headline.3,
+        render(&rows, &REDUCTION_COLUMNS),
+        largest_reduction(&rows, REBIND),
     );
     (report, rows)
 }
 
-/// One measured configuration of the E15 partial-order-reduction sweep.
-#[derive(Clone, Debug)]
-pub struct E15Row {
-    /// System under check: `"masked S_n"` (the input-masked Fig. 2
-    /// team-RC system, as in E13) or `"SimultaneousRc n=k"` (Fig. 4 over
-    /// atomic consensus objects — the system no owned-cell orbit is
-    /// sound for, so symmetry cannot reduce it and POR is the only
-    /// reducer that applies).
-    pub system: String,
-    /// Crash budget (independent + post-decide for the masked systems,
-    /// simultaneous + post-decide for Fig. 4).
-    pub crash_budget: usize,
-    /// The `max_states` cap the row ran under.
-    pub max_states: usize,
-    /// `"off"` (plain engine), `"por"` (persistent + sleep sets,
-    /// `ExploreConfig::por`), `"rebind"` (full-state symmetry, as in
-    /// E13) or `"por+rebind"` (both reducers composed).
-    pub mode: &'static str,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — sleep-annotated under `por`, canonical
-    /// representatives under `rebind`, both under `por+rebind`.
-    pub states: usize,
-    /// Weighted executions enumerated; Verified reduced rows must match
-    /// the off rows exactly (asserted).
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the best run (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// `states(off) / states(this row)`; a **lower bound** when the off
-    /// side truncated at the cap (see `reduction_is_lower_bound`).
-    pub reduction: f64,
-    /// Whether `reduction` is a lower bound (off side hit the cap).
-    pub reduction_is_lower_bound: bool,
-}
+/// The columns E13, E15 and E17 print.
+const REDUCTION_COLUMNS: [Column; 10] = [
+    SYSTEM,
+    CRASH_BUDGET,
+    CAP,
+    MODE,
+    VERDICT,
+    STATES,
+    LEAVES,
+    MS,
+    RATE,
+    REDUCTION,
+];
 
-fn e15_measure(
-    system: &str,
-    budget: usize,
-    mode: &'static str,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> E15Row {
-    let (verdict, states, leaves, best) = measure_sweep_run("E15", run_once);
-    E15Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        max_states: config.max_states,
-        mode,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        reduction: 1.0,
-        reduction_is_lower_bound: false,
-    }
-}
-
-/// Finishes one E15 instance: computes reductions against the off row
-/// and asserts the invariants every reduced mode must satisfy — when
-/// the off side verified, every reduced row verifies with the same
-/// weighted leaf count. State counts are *not* monotone under POR: the
-/// sleep mask is part of node identity (that is what keeps the search
-/// deterministic), so a state re-reached along paths with incomparable
-/// sleep sets splits into several entries, and the sweep honestly
-/// records the configurations where that cost outweighs the pruning
-/// (reduction below 1.0×).
-fn e15_finish(off: E15Row, mut reduced: Vec<E15Row>) -> Vec<E15Row> {
-    for r in &mut reduced {
-        if off.verdict == "Verified" {
-            assert_eq!(
-                r.verdict, "Verified",
-                "{}/{} {}: must verify when off verifies",
-                off.system, off.crash_budget, r.mode
-            );
-            assert_eq!(
-                r.leaves, off.leaves,
-                "{}/{} {}: weighted leaf counts must agree",
-                off.system, off.crash_budget, r.mode
-            );
+/// E15's sweep: masked team-RC instances under off / por / rebind /
+/// por+rebind — budget 0, independent budget 1 (the honest negative:
+/// sleep-set node splitting outweighs the pruning) and CrashAll
+/// budget 1, where masked `S_7`/`S_8` exceed the cap plain and under
+/// POR alone — and Fig. 4 under off / por, where POR's headroom comes
+/// from laggards: a process still proposing to an already-settled
+/// round's consensus object commutes with every process ahead of it.
+pub(crate) fn e15_sweep(fast: bool) -> Vec<Instance> {
+    let masked = |n: usize, budget: usize, simultaneous: bool| {
+        let system = System::MaskedFig2 { n };
+        let inst = if simultaneous {
+            Instance::simultaneous(system, budget).label(format!("masked S_{n} (CrashAll)"))
         } else {
-            r.reduction_is_lower_bound = true;
-        }
-        r.reduction = off.states as f64 / r.states as f64;
-    }
-    let mut rows = vec![off];
-    rows.append(&mut reduced);
-    rows
-}
-
-/// E15: footprint-driven **partial-order reduction** (persistent +
-/// sleep sets over the per-local-state access maps of
-/// [`rc_runtime::analyze_system_states`], enabled by
-/// `ExploreConfig::por`) — alone, against full-state symmetry, and
-/// composed with it. Four modes per masked instance
-/// (off / por / rebind / por+rebind); Fig. 4 (`SimultaneousRc`) runs
-/// off / por only here: E13 showed no *owned-cell* orbit is sound there
-/// (every process scans every round register), so within this sweep POR
-/// is the reducer that still applies — E17 adds the certified
-/// *scalarset* reduction and composes it with POR.
-///
-/// Where the reduction lives: crash transitions are dependent with
-/// everything (the `CrashModel` adversary must stay complete), so a
-/// node whose crash budget is not exhausted expands fully and the
-/// pruning happens in **crash-free regions** — all of a budget-0 run,
-/// and the post-crash layers of budget-≥1 runs. Budget-0 rows therefore
-/// show POR's interleaving reduction cleanly and compose
-/// multiplicatively with rebind (asserted), and so do the CrashAll
-/// budget-1 rows, whose single all-reset crash child per pre-crash
-/// state keeps the post-crash entry points few. The *independent*
-/// budget-1 rows are recorded as the honest negative: sleep masks are
-/// part of node identity (what keeps the search deterministic), so the
-/// many single-process crash children re-reach post-crash states along
-/// paths with incomparable sleep sets and the splitting outweighs the
-/// pruning. Verified reduced rows are asserted to match the off rows'
-/// verdicts and weighted leaf counts exactly in every mode.
-pub fn e15_por_reduction(fast: bool) -> (String, Vec<E15Row>) {
-    // Masked team-RC instances, `(n, crash model, budget)` per row
-    // group. Budget-0 rows show POR's crash-free interleaving reduction
-    // cleanly and compose multiplicatively with rebind. The independent
-    // budget-1 rows are the honest negative datapoint: each of the many
-    // single-process crash children seeds the post-crash layer along
-    // paths with incomparable sleep sets, and the resulting node
-    // splitting outweighs the pruning (reduction below 1.0×). The
-    // CrashAll (simultaneous) budget-1 rows restore the payoff — one
-    // all-reset child per pre-crash state keeps the entry points few —
-    // and carry the ISSUE's masked S_7/S_8 budget-1 composition
-    // demonstration: off and por alone exceed the default 5M-state cap,
-    // rebind and por+rebind verify exactly, por+rebind strictly below
-    // rebind (asserted).
-    struct MaskedInstance {
-        n: usize,
-        crash: CrashModel,
-        budget: usize,
-        simultaneous: bool,
-    }
-    let masked = |n: usize, budget: usize, simultaneous: bool| MaskedInstance {
-        n,
-        crash: if simultaneous {
-            CrashModel::simultaneous(budget).after_decide(true)
+            Instance::independent(system, budget)
+        };
+        // Crash-free: POR must prune interleavings, and the composition
+        // must beat symmetry alone.
+        let crash_free: &[Expect] = match budget {
+            0 => &[Expect::Fewer(POR, OFF), Expect::Fewer(POR_REBIND, REBIND)],
+            _ => &[],
+        };
+        // The CrashAll post-crash layer prunes like a crash-free search,
+        // so POR stacks on top of the rebind orbit collapse.
+        let crash_all: &[Expect] = if simultaneous {
+            &[
+                Expect::Verifies(REBIND),
+                Expect::Verifies(POR_REBIND),
+                Expect::Fewer(POR_REBIND, REBIND),
+                Expect::Fewer(POR, OFF),
+            ]
         } else {
-            CrashModel::independent(budget).after_decide(true)
-        },
-        budget,
-        simultaneous,
+            &[]
+        };
+        inst.modes(&[OFF, POR, REBIND, POR_REBIND])
+            .expect(crash_free)
+            .expect(crash_all)
     };
-    let masked_sweep: Vec<MaskedInstance> = if fast {
+    let mut instances = if fast {
         vec![masked(4, 0, false), masked(4, 1, false), masked(4, 1, true)]
     } else {
         vec![
@@ -1612,171 +1088,41 @@ pub fn e15_por_reduction(fast: bool) -> (String, Vec<E15Row>) {
             masked(8, 1, true),
         ]
     };
-    let mut rows: Vec<E15Row> = Vec::new();
-    for inst in &masked_sweep {
-        let n = inst.n;
-        let budget = inst.budget;
-        let (ty, w) = sn_witness(n);
-        let inputs = team_inputs(&w.assignment);
-        let system = if inst.simultaneous {
-            format!("masked S_{n} (CrashAll)")
-        } else {
-            format!("masked S_{n}")
-        };
-        let base = ExploreConfig {
-            crash: inst.crash,
-            inputs: Some(inputs.clone()),
-            ..ExploreConfig::default()
-        };
-        let por_cfg = ExploreConfig {
-            por: true,
-            analysis_id: Some(format!("bench/e15/masked-S_{n}")),
-            ..base.clone()
-        };
-        let off = e15_measure(&system, budget, "off", &base, &|| {
-            explore(
-                &|| build_masked_team_rc_system(ty.clone(), &w, &inputs),
-                &base,
-            )
-        });
-        let por = e15_measure(&system, budget, "por", &por_cfg, &|| {
-            explore(
-                &|| build_masked_team_rc_system(ty.clone(), &w, &inputs),
-                &por_cfg,
-            )
-        });
-        let rebind = e15_measure(&system, budget, "rebind", &base, &|| {
-            rc_runtime::explore_symmetric(
-                &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                &base,
-            )
-        });
-        let both = e15_measure(&system, budget, "por+rebind", &por_cfg, &|| {
-            rc_runtime::explore_symmetric(
-                &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                &por_cfg,
-            )
-        });
-        if budget == 0 {
-            // Purely crash-free: POR must prune interleavings, and the
-            // composition must beat symmetry alone.
-            assert!(
-                por.states < off.states,
-                "{system}/0: POR must reduce the crash-free search"
-            );
-            assert!(
-                both.states < rebind.states,
-                "{system}/0: por+rebind must beat rebind alone"
-            );
-        }
-        if inst.simultaneous {
-            // The multiplicative composition demonstration: the CrashAll
-            // post-crash layer prunes like a crash-free search, so POR
-            // stacks on top of the rebind orbit collapse.
-            assert_eq!(
-                rebind.verdict, "Verified",
-                "{system}/{budget} must verify under rebind"
-            );
-            assert_eq!(
-                both.verdict, "Verified",
-                "{system}/{budget} must verify under por+rebind"
-            );
-            assert!(
-                both.states < rebind.states,
-                "{system}/{budget}: por+rebind must beat rebind alone"
-            );
-            if off.verdict == "Verified" {
-                assert!(
-                    por.states < off.states,
-                    "{system}/{budget}: POR must reduce the CrashAll search"
-                );
-            }
-        }
-        rows.extend(e15_finish(off, vec![por, rebind, both]));
+    let budgets: &[usize] = if fast { &[1] } else { &[0, 1] };
+    for &budget in budgets {
+        instances.push(
+            Instance::simultaneous(System::fig4(&[0, 1, 2]), budget)
+                .modes(&[OFF, POR])
+                .expect(&[Expect::Fewer(POR, OFF)]),
+        );
     }
-    // Fig. 4: owned-cell symmetry cannot touch it (the scalarset
-    // fragment can — E17). POR's headroom comes from laggards — a
-    // process still proposing to an already-settled round's consensus
-    // object commutes with every process ahead of it (their crash-free
-    // futures never revisit settled rounds).
-    {
-        let n = 3;
-        let factory = ConsensusObjectFactory { domain: 4 };
-        let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
-        let horizon = 4;
-        let system = format!("SimultaneousRc n={n}");
-        let budgets: &[usize] = if fast { &[1] } else { &[0, 1] };
-        for &budget in budgets {
-            let base = ExploreConfig {
-                crash: CrashModel::simultaneous(budget).after_decide(true),
-                inputs: Some(inputs.clone()),
-                ..ExploreConfig::default()
-            };
-            let por_cfg = ExploreConfig {
-                por: true,
-                analysis_id: Some(format!("bench/e15/simultaneous-rc-n{n}-h{horizon}")),
-                ..base.clone()
-            };
-            let off = e15_measure(&system, budget, "off", &base, &|| {
-                explore(
-                    &|| build_simultaneous_rc_system(&factory, &inputs, horizon),
-                    &base,
-                )
-            });
-            let por = e15_measure(&system, budget, "por", &por_cfg, &|| {
-                explore(
-                    &|| build_simultaneous_rc_system(&factory, &inputs, horizon),
-                    &por_cfg,
-                )
-            });
-            assert!(
-                por.states < off.states,
-                "{system}/{budget}: POR must reduce the system symmetry cannot touch"
-            );
-            rows.extend(e15_finish(off, vec![por]));
-        }
-    }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "cap",
-        "mode",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-        "reduction",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.max_states.to_string(),
-            r.mode.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-            match (r.mode, r.reduction_is_lower_bound) {
-                ("off", _) => "1.0×".into(),
-                (_, true) => format!("≥{:.1}×", r.reduction),
-                (_, false) => format!("{:.1}×", r.reduction),
-            },
-        ]);
-    }
-    let headline = rows
-        .iter()
-        .filter(|r| r.mode == "por" && r.verdict == "Verified")
-        .map(|r| (r.reduction, r.system.clone(), r.crash_budget))
-        .fold((0.0f64, String::new(), 0usize), |acc, x| {
-            if x.0 > acc.0 {
-                x
-            } else {
-                acc
-            }
-        });
+    instances
+}
+
+/// E15: footprint-driven **partial-order reduction** (persistent +
+/// sleep sets over the per-local-state access maps of
+/// [`rc_runtime::analyze_system_states`], enabled by
+/// `ExploreConfig::por`) — alone, against full-state symmetry, and
+/// composed with it (`e15_sweep`). Fig. 4 (`SimultaneousRc`) runs
+/// off / por only here: E13 showed no *owned-cell* orbit is sound there
+/// (every process scans every round register), so within this sweep POR
+/// is the reducer that still applies — E17 adds the certified
+/// *scalarset* reduction and composes it with POR.
+///
+/// Where the reduction lives: crash transitions are dependent with
+/// everything (the `CrashModel` adversary must stay complete), so a
+/// node whose crash budget is not exhausted expands fully and the
+/// pruning happens in **crash-free regions** — all of a budget-0 run,
+/// and the post-crash layers of budget-≥1 runs. State counts are not
+/// monotone under POR: sleep masks are part of node identity (what
+/// keeps the search deterministic), so a state re-reached along paths
+/// with incomparable sleep sets splits into several entries, and the
+/// sweep records the configurations where that cost outweighs the
+/// pruning (reduction below 1.0×). Verified reduced rows are asserted to
+/// match the off rows' verdicts and weighted leaf counts exactly in
+/// every mode.
+pub fn e15_por_reduction(fast: bool) -> (String, Vec<ExploreRow>) {
+    let rows = run_sweep("E15", &e15_sweep(fast));
     let cap_note = if fast {
         "(the masked S_7/S_8 CrashAll budget-1 composition rows run in \
          the full sweep only)"
@@ -1793,7 +1139,7 @@ pub fn e15_por_reduction(fast: bool) -> (String, Vec<E15Row>) {
          transitions and decisions stay dependent with everything, so \
          the CrashModel adversary is complete and the pruning lives in \
          crash-free regions):\n{}\n\
-         largest recorded POR-alone reduction: {:.1}× on {}/budget-{}; \
+         largest recorded POR-alone reduction: {}; \
          Verified reduced rows match off verdicts and weighted leaf \
          counts exactly (asserted). SimultaneousRc — which no sound \
          *owned-cell* declaration can touch (E13; the certified \
@@ -1804,115 +1150,76 @@ pub fn e15_por_reduction(fast: bool) -> (String, Vec<E15Row>) {
          single-process crash children re-reach post-crash states with \
          incomparable sleep sets, and the node splitting outweighs the \
          pruning (below 1.0×). Also {cap_note}.\n",
-        t.render(),
-        headline.0,
-        headline.1,
-        headline.2,
+        render(&rows, &REDUCTION_COLUMNS),
+        largest_reduction(&rows, POR),
     );
     (report, rows)
 }
 
-/// One row of the E16 storage scaling sweep.
-#[derive(Clone, Debug)]
-pub struct E16Row {
-    /// System under check: `"S_n"` (Fig. 2 team-RC, as in E11/E12) or
-    /// `"masked S_n"` (the input-masked variant, as in E13/E15).
-    pub system: String,
-    /// Independent crash budget (post-decide crashes enabled).
-    pub crash_budget: usize,
-    /// Visited-set layout: `packed` (the table held in RAM) or
-    /// `packed+spill` (`ExploreConfig::spill_threshold` set, resident
-    /// entries frozen into on-disk runs). The baseline row runs at the
-    /// catalog's historical cap and re-records its `Truncated` verdict.
-    pub tier: &'static str,
-    /// `"unreduced"` (the plain search, the resident/spill parity grid)
-    /// or `"por+rebind"` (both reducers composed on the masked instance
-    /// — spilling must stay exact under the reduced search too).
-    pub mode: &'static str,
-    /// The `max_states` cap the row ran under.
-    pub max_states: usize,
-    /// The `max_bytes` cap (0 = uncapped), charged in the search's
-    /// acceptance order.
-    pub max_bytes: usize,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited — asserted identical across an
-    /// instance's lifted-cap rows.
-    pub states: usize,
-    /// Weighted executions enumerated — asserted identical across the
-    /// lifted-cap rows *and* against the catalog's reduced-engine
-    /// record of the same instance, where one exists.
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the (single) run — cap-scale searches
-    /// are too long for a best-of loop (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// Peak resident visited-set MiB ([`rc_runtime::ExploreStats::peak_table_bytes`]).
-    pub peak_table_mb: f64,
-    /// MiB frozen into on-disk spill runs (0 without spilling).
-    pub spilled_mb: f64,
-    /// MiB held by the compacted witness log.
-    pub witness_mb: f64,
-}
-
-fn e16_measure(
-    system: &str,
-    budget: usize,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> (rc_runtime::ExploreOutcome, rc_runtime::ExploreStats),
-) -> E16Row {
-    use rc_runtime::ExploreOutcome;
-    let start = std::time::Instant::now();
-    let (outcome, stats) = run_once();
-    let elapsed = start.elapsed();
-    let (verdict, states, leaves) = match outcome {
-        ExploreOutcome::Verified { states, leaves } => ("Verified".to_string(), states, leaves),
-        ExploreOutcome::Truncated { states } => ("Truncated".to_string(), states, 0),
-        ExploreOutcome::Violation { schedule, .. } => panic!(
-            "E16 systems are correct; violation after {} actions",
-            schedule.len()
-        ),
+/// E16's sweep: the catalog instances the default cap recorded as
+/// `Truncated` (E12's `S_8`/budget-0 off row, E13's masked
+/// `S_7`/budget-0 off row) re-run unreduced — a baseline at the
+/// historical cap, then resident, spilling and byte-capped at a lifted
+/// cap — and, on the masked instance, under por+rebind resident and
+/// spilling. Fast mode shrinks both caps (masked `S_4`/0, `S_4`/2).
+/// The weighted leaf counts are the ones the catalog's *reduced*
+/// searches (E12 symmetry-on, E13 rebind) computed for the same
+/// instances.
+pub(crate) fn e16_sweep(fast: bool) -> Vec<Instance> {
+    // Small enough that every lifted-cap spill row freezes runs; run
+    // probes stay cheap behind the per-run Blooms.
+    let spill = if fast { 4 << 10 } else { 8 << 20 };
+    let byte_cap = if fast { 256 << 20 } else { 8 << 30 };
+    let (baseline, lifted) = if fast {
+        (1_000, 5_000_000)
+    } else {
+        (5_000_000, 20_000_000)
     };
-    const MB: f64 = (1 << 20) as f64;
-    E16Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        tier: if config.spill_threshold.is_some() {
-            "packed+spill"
-        } else {
-            "packed"
-        },
-        mode: "unreduced",
-        max_states: config.max_states,
-        max_bytes: config.max_bytes.unwrap_or(0),
-        verdict,
-        states,
-        leaves,
-        millis: elapsed.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / elapsed.as_secs_f64().max(1e-9),
-        peak_table_mb: stats.peak_table_bytes as f64 / MB,
-        spilled_mb: stats.spilled_bytes as f64 / MB,
-        witness_mb: stats.witness_bytes as f64 / MB,
+    let instance = |system: System, budget: usize, expect: &[Expect]| {
+        let masked = matches!(system, System::MaskedFig2 { .. });
+        let inst = Instance::independent(system, budget)
+            .cap(lifted)
+            .runs(&[
+                Run::of(UNREDUCED).baseline(baseline),
+                Run::of(UNREDUCED),
+                Run::of(UNREDUCED).spill(spill),
+                Run::of(UNREDUCED).spill(spill).byte_cap(byte_cap),
+            ])
+            .expect(&[Expect::AllVerify, Expect::Spills(UNREDUCED)])
+            .expect(expect);
+        if !masked {
+            return inst;
+        }
+        // The composed reducers, resident and spilling: the storage
+        // layer must stay exact under the reduced search too.
+        inst.runs(&[Run::of(POR_REBIND), Run::of(POR_REBIND).spill(spill)])
+            .expect(&[Expect::Fewer(POR_REBIND, UNREDUCED)])
+    };
+    if fast {
+        vec![
+            instance(System::MaskedFig2 { n: 4 }, 0, &[]),
+            instance(System::Fig2 { n: 4 }, 2, &[Expect::Leaves(12)]),
+        ]
+    } else {
+        vec![
+            instance(System::MaskedFig2 { n: 7 }, 0, &[Expect::Leaves(20)]),
+            instance(System::Fig2 { n: 8 }, 0, &[Expect::Leaves(23)]),
+        ]
     }
 }
 
-/// E16: bit-packed state storage with optional spilling — the catalog
-/// instances the default cap recorded as `Truncated` (E12's
-/// `S_8`/budget-0 off row, E13's masked `S_7`/budget-0 off row), re-run
-/// **unreduced** with the cap lifted, with the packed visited set held
-/// in RAM and spilling to disk
-/// ([`ExploreConfig::spill_threshold`](rc_runtime::ExploreConfig)).
-/// Each instance records:
+/// E16: bit-packed state storage with optional spilling
+/// ([`ExploreConfig::spill_threshold`](rc_runtime::ExploreConfig)) on
+/// `e16_sweep`. Each instance records:
 ///
-/// * a **baseline** row at the historical 5M cap, re-recording the
+/// * a **baseline** row at the historical cap, re-recording the
 ///   catalog's `Truncated` verdict (asserted);
 /// * a **lifted-cap grid** — `packed` and `packed+spill` — every row
 ///   asserted `Verified` with byte-identical state and weighted-leaf
 ///   counts, and the leaf count asserted equal to what the catalog's
-///   *reduced* searches (rebind / symmetry-on) computed for the same
-///   instance: the full unreduced search independently confirms the
-///   reduction machinery's answer;
+///   *reduced* searches computed for the same instance: the full
+///   unreduced search independently confirms the reduction machinery's
+///   answer;
 /// * one **byte-capped** row (`ExploreConfig::max_bytes` generous
 ///   enough to verify) exercising the deterministic byte budget at
 ///   scale, asserted identical to the grid.
@@ -1921,246 +1228,8 @@ fn e16_measure(
 /// (their Blooms only skip runs that cannot hold a key), so — unlike
 /// bitstate/supertrace hashing — spilling returns the same exact
 /// verdict (see DESIGN §3).
-pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
-    struct Instance {
-        n: usize,
-        masked: bool,
-        budget: usize,
-        /// The cap the catalog row truncated at (shrunk in fast mode so
-        /// the sweep still demonstrates Truncated → Verified cheaply).
-        baseline_cap: usize,
-        lifted_cap: usize,
-        /// The instance's weighted leaf count as previously computed by
-        /// a *reduced* catalog run (E12 symmetry-on / E13 rebind).
-        expected_leaves: Option<usize>,
-    }
-    let sweep: Vec<Instance> = if fast {
-        vec![
-            Instance {
-                n: 4,
-                masked: true,
-                budget: 0,
-                baseline_cap: 1_000,
-                lifted_cap: 5_000_000,
-                expected_leaves: None,
-            },
-            Instance {
-                n: 4,
-                masked: false,
-                budget: 2,
-                baseline_cap: 1_000,
-                lifted_cap: 5_000_000,
-                expected_leaves: Some(12),
-            },
-        ]
-    } else {
-        vec![
-            Instance {
-                n: 7,
-                masked: true,
-                budget: 0,
-                baseline_cap: 5_000_000,
-                lifted_cap: 20_000_000,
-                expected_leaves: Some(20),
-            },
-            Instance {
-                n: 8,
-                masked: false,
-                budget: 0,
-                baseline_cap: 5_000_000,
-                lifted_cap: 20_000_000,
-                expected_leaves: Some(23),
-            },
-        ]
-    };
-    // Small enough that every lifted-cap spill row freezes runs; run
-    // probes stay cheap behind the per-run Blooms.
-    let spill_threshold: usize = if fast { 4 << 10 } else { 8 << 20 };
-    let byte_cap: usize = if fast { 256 << 20 } else { 8 << 30 };
-    let mut rows: Vec<E16Row> = Vec::new();
-    for inst in &sweep {
-        let (ty, w) = sn_witness(inst.n);
-        let inputs = team_inputs(&w.assignment);
-        let system = if inst.masked {
-            format!("masked S_{}", inst.n)
-        } else {
-            format!("S_{}", inst.n)
-        };
-        let factory = || {
-            if inst.masked {
-                build_masked_team_rc_system(ty.clone(), &w, &inputs)
-            } else {
-                build_team_rc_system(ty.clone(), &w, &inputs)
-            }
-        };
-        let base = ExploreConfig {
-            crash: CrashModel::independent(inst.budget).after_decide(true),
-            inputs: Some(inputs.clone()),
-            ..ExploreConfig::default()
-        };
-        let baseline_cfg = ExploreConfig {
-            max_states: inst.baseline_cap,
-            ..base.clone()
-        };
-        let baseline = e16_measure(&system, inst.budget, &baseline_cfg, &|| {
-            explore_with_stats(&factory, &baseline_cfg)
-        });
-        assert_eq!(
-            baseline.verdict, "Truncated",
-            "{system}/{}: the baseline cap must truncate",
-            inst.budget
-        );
-        assert_eq!(
-            baseline.states, inst.baseline_cap,
-            "{system}/{}: Truncated reports exactly the cap",
-            inst.budget
-        );
-        rows.push(baseline);
-        let mut reference: Option<(usize, usize)> = None;
-        for spill in [None, Some(spill_threshold)] {
-            let cfg = ExploreConfig {
-                max_states: inst.lifted_cap,
-                spill_threshold: spill,
-                ..base.clone()
-            };
-            let row = e16_measure(&system, inst.budget, &cfg, &|| {
-                explore_with_stats(&factory, &cfg)
-            });
-            let tier = row.tier;
-            assert_eq!(
-                row.verdict, "Verified",
-                "{system}/{}: the lifted cap must verify exactly under {tier}",
-                inst.budget
-            );
-            assert!(
-                row.states > inst.baseline_cap,
-                "{system}/{}: the instance must really exceed the baseline cap",
-                inst.budget
-            );
-            if let Some(expected) = inst.expected_leaves {
-                assert_eq!(
-                    row.leaves, expected,
-                    "{system}/{}: the unreduced search must reproduce the catalog's \
-                     reduced-search weighted leaf count",
-                    inst.budget
-                );
-            }
-            match reference {
-                None => reference = Some((row.states, row.leaves)),
-                Some(r) => assert_eq!(
-                    (row.states, row.leaves),
-                    r,
-                    "{system}/{}: byte-identical outcomes with and without spilling",
-                    inst.budget
-                ),
-            }
-            if spill.is_some() {
-                assert!(
-                    row.spilled_mb > 0.0,
-                    "{system}/{}: the spill row must freeze runs",
-                    inst.budget
-                );
-            }
-            rows.push(row);
-        }
-        let byte_cfg = ExploreConfig {
-            max_states: inst.lifted_cap,
-            spill_threshold: Some(spill_threshold),
-            max_bytes: Some(byte_cap),
-            ..base.clone()
-        };
-        let byte_row = e16_measure(&system, inst.budget, &byte_cfg, &|| {
-            explore_with_stats(&factory, &byte_cfg)
-        });
-        assert_eq!(
-            (byte_row.verdict.as_str(), byte_row.states, byte_row.leaves),
-            (
-                "Verified",
-                reference.expect("grid ran").0,
-                reference.expect("grid ran").1
-            ),
-            "{system}/{}: the byte-budgeted run must match the grid exactly",
-            inst.budget
-        );
-        rows.push(byte_row);
-        if inst.masked {
-            // The composed reducers (por+rebind, as in E15), resident
-            // and spilling: the storage layer must stay exact under the
-            // reduced search too — byte-identical canonical state counts
-            // with and without spilling, and the same weighted leaf
-            // count as the unreduced grid.
-            let mut reduced_ref: Option<(usize, usize)> = None;
-            for spill in [None, Some(spill_threshold)] {
-                let cfg = ExploreConfig {
-                    max_states: inst.lifted_cap,
-                    spill_threshold: spill,
-                    por: true,
-                    analysis_id: Some(format!("bench/e16/masked-S_{}", inst.n)),
-                    ..base.clone()
-                };
-                let mut row = e16_measure(&system, inst.budget, &cfg, &|| {
-                    rc_runtime::explore_symmetric_with_stats(
-                        &|| build_masked_team_rc_system_sym(ty.clone(), &w, &inputs),
-                        &cfg,
-                    )
-                });
-                row.mode = "por+rebind";
-                let tier = row.tier;
-                assert_eq!(
-                    row.verdict, "Verified",
-                    "{system}/{}: the reduced run must verify under {tier}",
-                    inst.budget
-                );
-                assert_eq!(
-                    row.leaves,
-                    reference.expect("grid ran").1,
-                    "{system}/{}: reduced weighted leaves must match the unreduced grid",
-                    inst.budget
-                );
-                assert!(
-                    row.states < reference.expect("grid ran").0,
-                    "{system}/{}: por+rebind must visit fewer states than unreduced",
-                    inst.budget
-                );
-                match reduced_ref {
-                    None => reduced_ref = Some((row.states, row.leaves)),
-                    Some(r) => assert_eq!(
-                        (row.states, row.leaves),
-                        r,
-                        "{system}/{}: reduced outcomes byte-identical with and \
-                         without spilling",
-                        inst.budget
-                    ),
-                }
-                rows.push(row);
-            }
-        }
-    }
-    let mut t = Table::new(&[
-        "system", "budget", "tier", "mode", "cap", "byte cap", "verdict", "states", "leaves", "ms",
-        "peak MB", "spill MB", "wit MB",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.tier.to_string(),
-            r.mode.to_string(),
-            r.max_states.to_string(),
-            if r.max_bytes == 0 {
-                "—".into()
-            } else {
-                format!("{}M", r.max_bytes >> 20)
-            },
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.0}", r.millis),
-            format!("{:.1}", r.peak_table_mb),
-            format!("{:.1}", r.spilled_mb),
-            format!("{:.1}", r.witness_mb),
-        ]);
-    }
+pub fn e16_storage_scaling(fast: bool) -> (String, Vec<ExploreRow>) {
+    let rows = run_sweep("E16", &e16_sweep(fast));
     let largest = rows
         .iter()
         .filter(|r| r.verdict == "Verified")
@@ -2168,8 +1237,8 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
         .expect("grid rows exist");
     let peak_of = |tier: &str| {
         rows.iter()
-            .filter(|r| r.tier == tier && r.mode == "unreduced" && r.verdict == "Verified")
-            .map(|r| r.peak_table_mb)
+            .filter(|r| r.tier == tier && r.mode == UNREDUCED.label && r.verdict == "Verified")
+            .map(|r| r.peak_table_bytes as f64 / (1 << 20) as f64)
             .fold(0.0f64, f64::max)
     };
     let cap_note = if fast {
@@ -2197,7 +1266,24 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
          search's canonical state counts are byte-identical either way \
          and its weighted leaves match the unreduced grid (asserted). \
          Also {cap_note}.\n",
-        t.render(),
+        render(
+            &rows,
+            &[
+                SYSTEM,
+                col("budget", CRASH_BUDGET.cell),
+                TIER,
+                MODE,
+                CAP,
+                BYTE_CAP,
+                VERDICT,
+                STATES,
+                LEAVES,
+                col("ms", |r| format!("{:.0}", r.millis)),
+                PEAK_MB,
+                SPILL_MB,
+                WITNESS_MB,
+            ]
+        ),
         largest.states,
         largest.system,
         largest.crash_budget,
@@ -2207,227 +1293,59 @@ pub fn e16_storage_scaling(fast: bool) -> (String, Vec<E16Row>) {
     (report, rows)
 }
 
-/// One measured configuration of the E17 scalarset-symmetry sweep.
-#[derive(Clone, Debug)]
-pub struct E17Row {
-    /// System under check: `"SimultaneousRc n=k [inputs]"` — Fig. 4
-    /// over atomic consensus objects, the system E13/E15 recorded as
-    /// untouchable by owned-cell symmetry (reduction pinned at 1.0×).
-    pub system: String,
-    /// Simultaneous crash budget (post-decide crashes enabled).
-    pub crash_budget: usize,
-    /// The `max_states` cap the row ran under.
-    pub max_states: usize,
-    /// `"off"` (the plain search), `"scalarset"` (the certified scalarset
-    /// family permutes with the process orbits) or `"scalarset+por"`
-    /// (composed with partial-order reduction).
-    pub mode: &'static str,
-    /// `Verified` / `Truncated` (a violation would panic the sweep).
-    pub verdict: String,
-    /// Distinct states visited (canonical representatives under the
-    /// scalarset modes).
-    pub states: usize,
-    /// Weighted executions enumerated; Verified reduced rows must match
-    /// the off rows exactly (asserted).
-    pub leaves: usize,
-    /// Wall-clock milliseconds of the best run (machine-dependent).
-    pub millis: f64,
-    /// `states / seconds` (machine-dependent).
-    pub states_per_sec: f64,
-    /// `states(off) / states(this row)`.
-    pub reduction: f64,
-}
-
-fn e17_measure(
-    system: &str,
-    budget: usize,
-    mode: &'static str,
-    config: &ExploreConfig,
-    run_once: &dyn Fn() -> rc_runtime::ExploreOutcome,
-) -> E17Row {
-    let (verdict, states, leaves, best) = measure_sweep_run("E17", run_once);
-    E17Row {
-        system: system.to_string(),
-        crash_budget: budget,
-        max_states: config.max_states,
-        mode,
-        verdict,
-        states,
-        leaves,
-        millis: best.as_secs_f64() * 1e3,
-        states_per_sec: states as f64 / best.as_secs_f64().max(1e-9),
-        reduction: 1.0,
+/// E17's sweep: `SimultaneousRc` n=3 under off / scalarset /
+/// scalarset+por. Equal inputs put every process in one orbit (the full
+/// symmetric group acts); the mixed instance keeps a singleton orbit
+/// alongside — the family still permutes under the acting orbit only.
+pub(crate) fn e17_sweep(fast: bool) -> Vec<Instance> {
+    let instance = |inputs: &[i64], budget: usize| {
+        let shown: Vec<String> = inputs.iter().map(i64::to_string).collect();
+        let label = format!(
+            "SimultaneousRc n={} (inputs {})",
+            inputs.len(),
+            shown.join(",")
+        );
+        Instance::simultaneous(System::fig4(inputs), budget)
+            .label(label)
+            .modes(&[OFF, SCALARSET, SCALARSET_POR])
+            .expect(&[
+                Expect::AllVerify,
+                Expect::Fewer(SCALARSET, OFF),
+                Expect::Fewer(SCALARSET_POR, SCALARSET),
+            ])
+    };
+    if fast {
+        vec![instance(&[0, 0, 1], 1)]
+    } else {
+        vec![
+            instance(&[0, 0, 0], 1),
+            instance(&[0, 0, 1], 1),
+            instance(&[0, 0, 0], 0),
+        ]
     }
 }
 
 /// E17: **scalarset symmetry for Fig. 4** — the reduction E13 and E15
-/// recorded as impossible under owned-cell orbits. The line-44
-/// termination scan cross-reads every round register, so the registers
-/// can never be owner-only; but remodeled as an order-insensitive fold
-/// (a checked-position mask with the visit order as internal
-/// nondeterminism) they form a certifiable **scalarset family**
-/// ([`rc_runtime::SymmetrySpec::with_scalarset`]): at search start the
-/// scalarset certifier ([`rc_runtime::lint_scalarset`]) proves every
-/// family transposition leaves the memoized local-state graphs
+/// recorded as impossible under owned-cell orbits (`e17_sweep`). The
+/// line-44 termination scan cross-reads every round register, so the
+/// registers can never be owner-only; but remodeled as an
+/// order-insensitive fold (a checked-position mask with the visit order
+/// as internal nondeterminism) they form a certifiable **scalarset
+/// family** ([`rc_runtime::SymmetrySpec::with_scalarset`]): at search
+/// start the scalarset certifier ([`rc_runtime::lint_scalarset`]) proves
+/// every family transposition leaves the memoized local-state graphs
 /// equivariant — bystander graph matching, member exchange, rebind
 /// fidelity, spot re-executions — and only then does the search permute
 /// the family with the process slots (mid-scan *pinned* states forgo
 /// reduction; decided states are never pinned, so leaf weights stay
 /// exact).
 ///
-/// Three modes per instance — off / scalarset / scalarset+por.
-/// Asserted: Verified reduced rows match the off rows' weighted leaf
-/// counts exactly; the scalarset mode
-/// strictly reduces (Fig. 4 leaves 1.0× behind); and scalarset+por
-/// strictly beats scalarset alone wherever POR alone reduced (E15's
-/// 2.1× composes).
-pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
-    struct Instance {
-        inputs: Vec<Value>,
-        label: &'static str,
-        budget: usize,
-        horizon: usize,
-    }
-    let inst = |inputs: Vec<i64>, label, budget, horizon| Instance {
-        inputs: inputs.into_iter().map(Value::Int).collect(),
-        label,
-        budget,
-        horizon,
-    };
-    // Equal inputs put every process in one orbit (the full symmetric
-    // group acts); the mixed instance keeps a singleton orbit alongside
-    // — the family still permutes under the acting orbit only.
-    let sweep: Vec<Instance> = if fast {
-        vec![inst(vec![0, 0, 1], "inputs 0,0,1", 1, 4)]
-    } else {
-        vec![
-            inst(vec![0, 0, 0], "inputs 0,0,0", 1, 4),
-            inst(vec![0, 0, 1], "inputs 0,0,1", 1, 4),
-            inst(vec![0, 0, 0], "inputs 0,0,0", 0, 4),
-        ]
-    };
-    let factory = ConsensusObjectFactory { domain: 4 };
-    let mut rows: Vec<E17Row> = Vec::new();
-    for inst in &sweep {
-        let n = inst.inputs.len();
-        let system = format!("SimultaneousRc n={n} ({})", inst.label);
-        let analysis_id = format!(
-            "bench/e17/simultaneous-rc-n{n}-{}-h{}",
-            inst.label, inst.horizon
-        );
-        let base = ExploreConfig {
-            crash: CrashModel::simultaneous(inst.budget).after_decide(true),
-            inputs: Some(inst.inputs.clone()),
-            analysis_id: Some(analysis_id.clone()),
-            ..ExploreConfig::default()
-        };
-        let por_cfg = ExploreConfig {
-            por: true,
-            ..base.clone()
-        };
-        let mut per_mode: Vec<(usize, usize)> = Vec::new(); // (states, leaves) per mode
-        for (mode, cfg, symmetric) in [
-            ("off", &base, false),
-            ("scalarset", &base, true),
-            ("scalarset+por", &por_cfg, true),
-        ] {
-            let row = e17_measure(&system, inst.budget, mode, cfg, &|| {
-                if symmetric {
-                    rc_runtime::explore_symmetric(
-                        &|| build_simultaneous_rc_system_sym(&factory, &inst.inputs, inst.horizon),
-                        cfg,
-                    )
-                } else {
-                    explore(
-                        &|| build_simultaneous_rc_system(&factory, &inst.inputs, inst.horizon),
-                        cfg,
-                    )
-                }
-            });
-            assert_eq!(
-                row.verdict, "Verified",
-                "{system}/{}: every E17 row must verify ({mode})",
-                inst.budget
-            );
-            per_mode.push((row.states, row.leaves));
-            rows.push(row);
-        }
-        let (off, scal, both) = (per_mode[0], per_mode[1], per_mode[2]);
-        assert_eq!(
-            scal.1, off.1,
-            "{system}/{}: scalarset weighted leaves must match off",
-            inst.budget
-        );
-        assert_eq!(
-            both.1, off.1,
-            "{system}/{}: scalarset+por weighted leaves must match off",
-            inst.budget
-        );
-        assert!(
-            scal.0 < off.0,
-            "{system}/{}: the certified scalarset must reduce the search \
-             ({} vs {} states)",
-            inst.budget,
-            scal.0,
-            off.0
-        );
-        assert!(
-            both.0 < scal.0,
-            "{system}/{}: scalarset+por must beat scalarset alone \
-             ({} vs {} states)",
-            inst.budget,
-            both.0,
-            scal.0
-        );
-        let off_states = off.0;
-        for row in rows.iter_mut().rev() {
-            if row.system != system || row.crash_budget != inst.budget {
-                break;
-            }
-            row.reduction = off_states as f64 / row.states as f64;
-        }
-    }
-    let mut t = Table::new(&[
-        "system",
-        "crash budget",
-        "cap",
-        "mode",
-        "verdict",
-        "states",
-        "leaves",
-        "ms",
-        "states/sec",
-        "reduction",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.system.clone(),
-            r.crash_budget.to_string(),
-            r.max_states.to_string(),
-            r.mode.to_string(),
-            r.verdict.clone(),
-            r.states.to_string(),
-            r.leaves.to_string(),
-            format!("{:.1}", r.millis),
-            format!("{:.0}", r.states_per_sec),
-            if r.mode == "off" {
-                "1.0×".into()
-            } else {
-                format!("{:.1}×", r.reduction)
-            },
-        ]);
-    }
-    let headline = rows
-        .iter()
-        .filter(|r| r.mode == "scalarset+por")
-        .map(|r| (r.reduction, r.system.clone(), r.crash_budget))
-        .fold((0.0f64, String::new(), 0usize), |acc, x| {
-            if x.0 > acc.0 {
-                x
-            } else {
-                acc
-            }
-        });
+/// Asserted: every row Verified with the off rows' weighted leaf
+/// counts; the scalarset mode strictly reduces (Fig. 4 leaves 1.0×
+/// behind); and scalarset+por strictly beats scalarset alone (E15's POR
+/// composes).
+pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<ExploreRow>) {
+    let rows = run_sweep("E17", &e17_sweep(fast));
     let report = format!(
         "E17 — scalarset symmetry for Fig. 4 (SimultaneousRc): the line-44 \
          termination scan, remodeled as an order-insensitive fold over a \
@@ -2438,15 +1356,13 @@ pub fn e17_scalarset_symmetry(fast: bool) -> (String, Vec<E17Row>) {
          does canonicalization permute the family with the process \
          slots — mid-scan pinned states forgo reduction, decided states \
          are never pinned, so weights stay exact:\n{}\n\
-         largest composed reduction: {:.1}× on {}/budget-{}; all rows \
+         largest composed reduction: {}; all rows \
          Verified, reduced weighted leaf counts equal to off, scalarset \
          strictly below off, and scalarset+por strictly below scalarset \
          (all asserted) — the reducers compound on the system E13/E15 \
          recorded at 1.0× under owned-cell symmetry.\n",
-        t.render(),
-        headline.0,
-        headline.1,
-        headline.2,
+        render(&rows, &REDUCTION_COLUMNS),
+        largest_reduction(&rows, SCALARSET_POR),
     );
     (report, rows)
 }
@@ -2634,197 +1550,26 @@ pub fn e18_swarm(fast: bool) -> (String, Vec<E18Row>) {
     (report, rows)
 }
 
-/// Renders the E11 + E12 + E13 + E15 + E16 + E17 + E18 rows as the
-/// `BENCH_explore.json` snapshot: a stable, diff-friendly record of the
-/// engine trajectory across PRs. The host core count is recorded so
-/// trajectory points from different machines stay comparable (the swarm
-/// rows scale with cores) — the CI `bench-record` job regenerates the
-/// snapshot on a multi-core runner and uploads it as an artifact.
-///
-/// Schema migration: version 6 drops the removed parallel engine's and
-/// storage tiers' fields — `engine` and `vs_serial` from `e11_rows`,
-/// `threads` and `filter_bits` from `e16_rows`, `threads` from
-/// `e17_rows` — along with the rows that only existed to compare them;
-/// a reader of version 5 must treat those fields as optional. Version 5
-/// adds `e18_rows` (the swarm-verification
-/// sweep; `first_violating_seed`, `original_len` and `min_witness` are
-/// `null` on clean rows) and requires `e18` in the regenerate command;
-/// version 4 added `e17_rows` (the scalarset-symmetry sweep) and a
-/// `mode` field on `e16_rows` (the por+rebind tier-parity rows);
-/// version 3 added `e16_rows` (the storage-tier scaling sweep);
-/// version 2 added the `schema` field itself plus `e15_rows` (the POR
-/// sweep). Earlier row sets are unchanged in shape at each step, so an
-/// old reader keeps working on a newer file as long as it ignores
-/// unknown keys.
-pub fn snapshot_json(
-    e11: &[E11Row],
-    e12: &[E12Row],
-    e13: &[E13Row],
-    e15: &[E15Row],
-    e16: &[E16Row],
-    e17: &[E17Row],
-    e18: &[E18Row],
-) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 6,\n");
-    out.push_str(
-        "  \"regenerate\": \"cargo run -p rc-bench --release --bin tables -- e11 e12 e13 e15 \
-         e16 e17 e18 --snapshot\",\n",
-    );
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str(
-        "  \"note\": \"states and leaves are deterministic; millis, states_per_sec \
-         and reduction are machine-dependent\",\n",
-    );
-    out.push_str("  \"e11_rows\": [\n");
-    for (i, r) in e11.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \
-             \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \"millis\": {:.1}, \
-             \"states_per_sec\": {:.0}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            if i + 1 == e11.len() { "" } else { "," }
-        ));
+impl JsonRow for E18Row {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("system", Json::Str(self.system.clone())),
+            ("crash", Json::Str(self.crash.clone())),
+            ("crash_prob", Json::Num(self.crash_prob, 2)),
+            ("seeds", Json::Int(self.seeds)),
+            ("threads", Json::Int(self.threads as u64)),
+            ("distinct_finals", Json::Int(self.distinct_finals as u64)),
+            ("violations", Json::Int(self.violations as u64)),
+            ("first_violating_seed", Json::opt(self.first_violating_seed)),
+            (
+                "original_len",
+                Json::opt(self.original_len.map(|v| v as u64)),
+            ),
+            ("min_witness", Json::opt(self.min_witness.map(|v| v as u64))),
+            ("millis", Json::Num(self.millis, 1)),
+            ("runs_per_sec", Json::Num(self.runs_per_sec, 0)),
+        ]
     }
-    out.push_str("  ],\n  \"e12_rows\": [\n");
-    for (i, r) in e12.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"symmetry\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \
-             \"millis\": {:.1}, \"states_per_sec\": {:.0}, \"reduction\": {:.1}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.max_states,
-            r.symmetry,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.reduction,
-            if i + 1 == e12.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e13_rows\": [\n");
-    for (i, r) in e13.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"mode\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \
-             \"millis\": {:.1}, \"states_per_sec\": {:.0}, \"reduction\": {:.1}, \
-             \"reduction_is_lower_bound\": {}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.max_states,
-            r.mode,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.reduction,
-            r.reduction_is_lower_bound,
-            if i + 1 == e13.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e15_rows\": [\n");
-    for (i, r) in e15.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"mode\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \"leaves\": {}, \
-             \"millis\": {:.1}, \"states_per_sec\": {:.0}, \"reduction\": {:.1}, \
-             \"reduction_is_lower_bound\": {}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.max_states,
-            r.mode,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.reduction,
-            r.reduction_is_lower_bound,
-            if i + 1 == e15.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e16_rows\": [\n");
-    for (i, r) in e16.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"tier\": \"{}\", \
-             \"mode\": \"{}\", \
-             \"max_states\": {}, \"max_bytes\": {}, \"verdict\": \"{}\", \
-             \"states\": {}, \"leaves\": {}, \"millis\": {:.1}, \"states_per_sec\": {:.0}, \
-             \"peak_table_mb\": {:.1}, \"spilled_mb\": {:.1}, \
-             \"witness_mb\": {:.1}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.tier,
-            r.mode,
-            r.max_states,
-            r.max_bytes,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.peak_table_mb,
-            r.spilled_mb,
-            r.witness_mb,
-            if i + 1 == e16.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e17_rows\": [\n");
-    for (i, r) in e17.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash_budget\": {}, \"max_states\": {}, \
-             \"mode\": \"{}\", \"verdict\": \"{}\", \"states\": {}, \
-             \"leaves\": {}, \"millis\": {:.1}, \"states_per_sec\": {:.0}, \
-             \"reduction\": {:.1}}}{}\n",
-            r.system,
-            r.crash_budget,
-            r.max_states,
-            r.mode,
-            r.verdict,
-            r.states,
-            r.leaves,
-            r.millis,
-            r.states_per_sec,
-            r.reduction,
-            if i + 1 == e17.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"e18_rows\": [\n");
-    let or_null = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |x| x.to_string());
-    for (i, r) in e18.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"crash\": \"{}\", \"crash_prob\": {:.2}, \
-             \"seeds\": {}, \"threads\": {}, \"distinct_finals\": {}, \"violations\": {}, \
-             \"first_violating_seed\": {}, \"original_len\": {}, \"min_witness\": {}, \
-             \"millis\": {:.1}, \"runs_per_sec\": {:.0}}}{}\n",
-            r.system,
-            r.crash,
-            r.crash_prob,
-            r.seeds,
-            r.threads,
-            r.distinct_finals,
-            r.violations,
-            or_null(r.first_violating_seed),
-            or_null(r.original_len.map(|v| v as u64)),
-            or_null(r.min_witness.map(|v| v as u64)),
-            r.millis,
-            r.runs_per_sec,
-            if i + 1 == e18.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// A system of the lint catalog: builds the memory, the programs and
@@ -3259,6 +2004,8 @@ pub fn e14_catalog_lint() -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::tests::assert_uniform_keys;
+    use crate::snapshot::{snapshot_json, RowSet};
 
     #[test]
     fn experiments_run_small() {
@@ -3291,27 +2038,24 @@ mod tests {
     fn symmetry_sweep_runs_fast() {
         let (report, rows) = e12_symmetry_reduction(true);
         assert!(report.contains("E12"));
-        assert!(rows.iter().any(|r| r.symmetry == "on" && r.reduction > 1.0));
+        assert!(rows.iter().any(|r| r.mode == "on" && r.reduction > 1.0));
     }
 
     /// The full-state sweep's invariants (slots ≡ off on masked systems,
     /// rebind reduces with identical weighted leaves) are asserted
     /// inside the experiment; the fast sweep exercises them, and the
-    /// snapshot renderer accepts all three row sets.
+    /// snapshot writer records the rows with one key order.
     #[test]
     fn full_state_sweep_runs_fast() {
         let (report, rows) = e13_full_state_symmetry(true);
         assert!(report.contains("E13"));
         assert!(rows.iter().any(|r| r.mode == "rebind" && r.reduction > 1.0));
         assert!(rows.iter().any(|r| r.mode == "slots"));
-        let json = snapshot_json(&[], &[], &rows, &[], &[], &[], &[]);
-        assert!(json.contains("\"schema\": 6"));
+        let json = snapshot_json(&[RowSet::new("e13", &rows)]);
+        assert!(json.contains("\"schema\": 7"));
         assert!(json.contains("\"e13_rows\""));
-        assert!(json.contains("\"e15_rows\""));
-        assert!(json.contains("\"e16_rows\""));
-        assert!(json.contains("\"e17_rows\""));
-        assert!(json.contains("\"e18_rows\""));
         assert!(json.contains("masked S_4"));
+        assert_uniform_keys(&json);
     }
 
     /// The POR sweep's invariants (reduced rows match off verdicts and
@@ -3329,16 +2073,18 @@ mod tests {
         assert!(rows.iter().any(|r| r.system.starts_with("SimultaneousRc")
             && r.mode == "por"
             && r.reduction > 1.0));
-        let json = snapshot_json(&[], &[], &[], &rows, &[], &[], &[]);
+        let json = snapshot_json(&[RowSet::new("e15", &rows)]);
         assert!(json.contains("\"e15_rows\""));
         assert!(json.contains("por+rebind"));
+        assert_uniform_keys(&json);
     }
 
     /// The storage sweep's invariants (baseline truncates at the cap,
     /// the resident and spilling lifted-cap rows verify
     /// byte-identically, the byte-budgeted run matches the grid, spill
-    /// rows freeze runs) are asserted inside the experiment; the fast sweep exercises them, including the
-    /// acceptance-critical Truncated → Verified transition.
+    /// rows freeze runs) are asserted inside the experiment; the fast
+    /// sweep exercises them, including the acceptance-critical
+    /// Truncated → Verified transition.
     #[test]
     fn storage_sweep_runs_fast() {
         let (report, rows) = e16_storage_scaling(true);
@@ -3348,11 +2094,12 @@ mod tests {
             .any(|r| r.tier == "packed" && r.verdict == "Truncated"));
         assert!(rows
             .iter()
-            .any(|r| r.tier == "packed+spill" && r.verdict == "Verified" && r.spilled_mb > 0.0));
+            .any(|r| r.tier == "packed+spill" && r.verdict == "Verified" && r.spilled_bytes > 0));
         assert!(rows.iter().any(|r| r.max_bytes > 0));
-        let json = snapshot_json(&[], &[], &[], &[], &rows, &[], &[]);
+        let json = snapshot_json(&[RowSet::new("e16", &rows)]);
         assert!(json.contains("\"e16_rows\""));
         assert!(json.contains("packed+spill"));
+        assert_uniform_keys(&json);
         assert!(
             rows.iter().any(|r| r.mode == "por+rebind"),
             "the rebind+POR parity rows joined the spill grid"
@@ -3364,7 +2111,7 @@ mod tests {
     /// scalarset+por strictly below scalarset) are asserted inside the
     /// experiment; the fast sweep exercises them on the system E13/E15
     /// recorded at 1.0× under owned-cell symmetry, and the snapshot
-    /// renderer accepts the rows.
+    /// writer records the rows.
     #[test]
     fn scalarset_sweep_runs_fast() {
         let (report, rows) = e17_scalarset_symmetry(true);
@@ -3384,16 +2131,18 @@ mod tests {
             both.states < scal.states,
             "POR composes on top of the scalarset reduction"
         );
-        let json = snapshot_json(&[], &[], &[], &[], &[], &rows, &[]);
+        let json = snapshot_json(&[RowSet::new("e17", &rows)]);
         assert!(json.contains("\"e17_rows\""));
         assert!(json.contains("scalarset+por"));
+        assert_uniform_keys(&json);
     }
 
     /// The swarm sweep's contract clauses (correct systems clean, the
     /// seeded bug found / replayed / shrunk / witness-verified,
     /// thread-count-invariant aggregates) are asserted inside the
     /// experiment; the fast sweep exercises them, and the snapshot
-    /// renderer writes `null` for the witness columns of clean rows.
+    /// writer records `null` for the witness columns of clean rows,
+    /// with one key order across clean and violating rows.
     #[test]
     fn swarm_sweep_runs_fast() {
         let (report, rows) = e18_swarm(true);
@@ -3404,10 +2153,65 @@ mod tests {
         assert!(rows
             .iter()
             .all(|r| r.system == "broken-team-rc" || r.violations == 0));
-        let json = snapshot_json(&[], &[], &[], &[], &[], &[], &rows);
+        let json = snapshot_json(&[RowSet::new("e18", &rows)]);
         assert!(json.contains("\"e18_rows\""));
         assert!(json.contains("\"min_witness\": null"));
         assert!(json.contains("broken-team-rc"));
+        assert_uniform_keys(&json);
+    }
+
+    /// Analysis ids derive from the system construction, not the
+    /// experiment: distinct constructions across every sweep get
+    /// distinct ids, and the masked `S_4` system the fast E15 and E16
+    /// sweeps both run POR on is analyzed once and shared through the
+    /// cache.
+    #[test]
+    fn fast_sweeps_share_one_analysis_per_system() {
+        use rc_runtime::{system_analysis_cached, AnalysisBudget};
+        let mut systems: Vec<System> = Vec::new();
+        for fast in [true, false] {
+            for sweep in [
+                e11_sweep, e12_sweep, e13_sweep, e15_sweep, e16_sweep, e17_sweep,
+            ] {
+                for inst in sweep(fast) {
+                    if !systems.contains(&inst.system) {
+                        systems.push(inst.system);
+                    }
+                }
+            }
+        }
+        let mut ids: Vec<String> = systems.iter().map(System::analysis_id).collect();
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), systems.len(), "two constructions share an id");
+        let por_system = |sweep: Vec<Instance>| {
+            sweep
+                .into_iter()
+                .find(|i| {
+                    i.system == System::MaskedFig2 { n: 4 }
+                        && i.runs.iter().any(|r| r.mode == POR_REBIND)
+                })
+                .expect("the fast sweep runs POR on masked S_4")
+                .system
+        };
+        let (e15, e16) = (por_system(e15_sweep(true)), por_system(e16_sweep(true)));
+        assert_eq!(e15.analysis_id(), e16.analysis_id());
+        let analysis = |system: &System| {
+            let (_, build) = system.prepare();
+            let (mem, programs, _) = build(false);
+            system_analysis_cached(
+                &system.analysis_id(),
+                &mem,
+                &programs,
+                AnalysisBudget::default(),
+            )
+            .expect("masked S_4 is analyzable")
+        };
+        let (first, second) = (analysis(&e15), analysis(&e16));
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "E16 recomputed E15's masked S_4 analysis"
+        );
     }
 
     /// The per-state footprint analysis behind the declaration lint, the

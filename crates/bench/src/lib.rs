@@ -24,13 +24,22 @@
 //! | E17 | scalarset-symmetry sweep for Fig. 4 | [`exp::e17_scalarset_symmetry`] |
 //! | E18 | swarm verification: seeded schedules past the exhaustive frontier | [`exp::e18_swarm`] |
 //!
+//! E11–E17 are one sweep matrix ([`matrix`]): each `exp::eNN_sweep`
+//! declares its instances (system × crash model × cap), the modes each
+//! runs and the assertions beyond the shared invariants;
+//! `matrix::run_sweep` measures every run into one
+//! [`matrix::ExploreRow`] type under one timing policy (median of
+//! repeated runs until 200 ms or 30 runs) and checks it, and
+//! `matrix::render` prints each experiment's columns.
+//!
 //! Run `cargo run -p rc-bench --release --bin tables` for all tables, or
 //! `--bin tables -- e4 e5` for a subset (unknown ids exit non-zero with
 //! the valid list). `--bin tables -- lint` runs the E14 audit as a CI
 //! gate (exit non-zero if any catalog system fails). Criterion timing
 //! benches live in `benches/`; the E11–E18 engine trajectory is
-//! snapshotted in `BENCH_explore.json` via
-//! `--bin tables -- e11 e12 e13 e15 e16 e17 e18 --snapshot`.
+//! snapshotted in `BENCH_explore.json` ([`snapshot::snapshot_json`],
+//! schema 7) by `--bin tables -- --snapshot` with every id of
+//! [`cli::SNAPSHOT_IDS`] selected.
 //!
 //! The `swarm` binary is the randomized counterpart of `tables`: it
 //! sweeps millions of deterministically seeded schedules over the
@@ -44,6 +53,8 @@
 
 pub mod cli;
 pub mod exp;
+pub mod matrix;
+pub mod snapshot;
 pub mod swarm_catalog;
 pub mod swarm_cli;
 pub mod table;
